@@ -195,7 +195,7 @@ func BenchmarkConflictIndex(b *testing.B) {
 					}
 					ix.LaterWriters(a, t.Ord(), t, 0)
 					// Miss query: address outside the registered pool,
-					// the pre-filter's fast path.
+					// one failed table probe.
 					ix.LaterAccessors(0x900000+a, t.Ord(), t, 0)
 				}
 			}

@@ -1,9 +1,7 @@
 package conflict
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"swarmhints/internal/task"
 )
@@ -13,72 +11,6 @@ func mk(id, ts uint64) *task.Task {
 	t.State = task.Running
 	return t
 }
-
-// --- Bloom filter ---
-
-func TestBloomNoFalseNegatives(t *testing.T) {
-	f := func(addrs []uint64) bool {
-		var b Bloom
-		for _, a := range addrs {
-			b.Add(a)
-		}
-		for _, a := range addrs {
-			if !b.MayContain(a) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBloomFalsePositiveRate(t *testing.T) {
-	// 2 Kbit / 8-way with ~64 inserted addresses should have a very low FP
-	// rate; sanity-check it stays under a generous bound.
-	var b Bloom
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 64; i++ {
-		b.Add(rng.Uint64())
-	}
-	fp := 0
-	const probes = 10_000
-	for i := 0; i < probes; i++ {
-		if b.MayContain(rng.Uint64()) {
-			fp++
-		}
-	}
-	if fp > probes/100 {
-		t.Fatalf("false positive rate too high: %d/%d", fp, probes)
-	}
-}
-
-func TestBloomIntersects(t *testing.T) {
-	var a, b Bloom
-	a.Add(100)
-	b.Add(100)
-	if !a.Intersects(&b) {
-		t.Fatal("filters sharing an element must intersect")
-	}
-	var c Bloom
-	c.Add(999)
-	var d Bloom
-	if c.Intersects(&d) {
-		t.Fatal("empty filter intersects nothing")
-	}
-}
-
-func TestBloomReset(t *testing.T) {
-	var b Bloom
-	b.Add(5)
-	b.Reset()
-	if b.MayContain(5) || b.Len() != 0 {
-		t.Fatal("reset did not clear the filter")
-	}
-}
-
-// --- Accessor index ---
 
 func TestLaterWritersDetectsFutureData(t *testing.T) {
 	ix := NewIndex(nil)

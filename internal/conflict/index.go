@@ -1,40 +1,26 @@
+// Package conflict implements Swarm's conflict detection: the precise
+// per-address accessor index the simulator uses to find the exact set of
+// later-order tasks that must abort when an earlier task touches conflicting
+// data, and the timestamp-comparison counts that set the modeled
+// conflict-check latency.
 package conflict
 
 import (
 	"swarmhints/internal/flat"
 	"swarmhints/internal/mem"
 	"swarmhints/internal/metrics"
-	"swarmhints/internal/sig"
 	"swarmhints/internal/task"
 )
 
-// Index is the precise per-address accessor map used for conflict detection.
-// Swarm filters checks through Bloom signatures and then resolves precisely;
-// the Index is the resolution step. Word-granularity, like the undo logs.
-//
-// The resolution path is filter-first and map-free: every registered access
-// populates the task's per-attempt read/write Bloom signature and a counting
-// presence filter that is the union of all live signatures, and every query
-// consults that filter before probing the precise index — a flat
-// open-addressing table — so accesses to quiet addresses (the common case)
-// skip the walk entirely. The filter has no false negatives, and a skipped
-// walk would have performed zero timestamp comparisons, so the modeled
-// comparison counts are bit-identical with and without the pre-filter.
+// Index is the precise per-address accessor map used for conflict detection,
+// at word granularity like the undo logs. It is a flat open-addressing table
+// from address to the uncommitted readers and writers registered there; a
+// query walks one entry and counts one timestamp comparison per accessor it
+// visits. Swarm's hardware filters checks through Bloom signatures first,
+// but a signature can only skip checks that would compare nothing, so the
+// modeled check latency is fully determined by this walk.
 type Index struct {
 	tab flat.Table[entry]
-
-	// filt is the counting union of all live task signatures: one Add per
-	// OnRead/OnWrite registration, one Remove per Reads/Writes entry on
-	// Remove. A negative lookup proves no live signature contains the
-	// address, i.e. the precise index holds no entry for it.
-	filt sig.Filter
-
-	// memo caches the signature bit positions of the last-hashed address:
-	// an access checks the filter, registers, and re-queries the same
-	// address several times in a row, and each reuse skips 8 H3 hashes.
-	memoAddr uint64
-	memoOK   bool
-	memoIdx  sig.Indices
 
 	// rec receives per-tile counts of timestamp comparisons performed,
 	// which the simulator turns into conflict-check latency (Table II:
@@ -63,11 +49,6 @@ type Index struct {
 	// Remove deleted once their address went quiet; most addresses cycle
 	// between empty and occupied throughout a run.
 	entryPool mem.Pool[entry]
-
-	// sigPool recycles the per-attempt signature blocks attached to tasks
-	// on their first registered access and reclaimed (cleared) on Remove.
-	// Lazy attachment keeps pure-enqueue tasks signature-free.
-	sigPool mem.Pool[sig.Attempt]
 }
 
 type entry struct {
@@ -98,16 +79,6 @@ func (ix *Index) comp(tile int) *uint64 {
 // over tiles.
 func (ix *Index) Comparisons() uint64 { return ix.rec.Aggregate().Comparisons }
 
-// indices returns the signature bit positions for addr through the one-entry
-// memo.
-func (ix *Index) indices(addr uint64) *sig.Indices {
-	if !ix.memoOK || ix.memoAddr != addr {
-		ix.memoIdx = sig.IndicesFor(addr)
-		ix.memoAddr, ix.memoOK = addr, true
-	}
-	return &ix.memoIdx
-}
-
 func (ix *Index) get(addr uint64) *entry {
 	e := ix.tab.Get(addr)
 	if e == nil {
@@ -126,32 +97,14 @@ func (ix *Index) release(addr uint64, e *entry) {
 	ix.entryPool.Put(e)
 }
 
-// sigs returns the task's attempt signatures, attaching a pooled block on
-// the attempt's first registered access. Blocks come back from Remove
-// cleared, so attachment is pointer assignment, not a 4 Kbit memset.
-func (ix *Index) sigs(t *task.Task) *sig.Attempt {
-	if t.Sigs == nil {
-		t.Sigs = ix.sigPool.Get()
-	}
-	return t.Sigs
-}
-
-// OnRead registers a speculative read, stamping the task's read signature
-// and the presence filter.
+// OnRead registers a speculative read.
 func (ix *Index) OnRead(t *task.Task, addr uint64) {
-	idx := ix.indices(addr)
-	ix.sigs(t).Read.AddIndices(idx)
-	ix.filt.Add(idx)
 	e := ix.get(addr)
 	e.readers = append(e.readers, t)
 }
 
-// OnWrite registers a speculative write, stamping the task's write signature
-// and the presence filter.
+// OnWrite registers a speculative write.
 func (ix *Index) OnWrite(t *task.Task, addr uint64) {
-	idx := ix.indices(addr)
-	ix.sigs(t).Write.AddIndices(idx)
-	ix.filt.Add(idx)
 	e := ix.get(addr)
 	e.writers = append(e.writers, t)
 }
@@ -162,9 +115,6 @@ func (ix *Index) OnWrite(t *task.Task, addr uint64) {
 // performing the check, for comparison attribution. The returned slice is
 // scratch, valid until the next LaterWriters call on this Index.
 func (ix *Index) LaterWriters(addr uint64, o task.Order, self *task.Task, tile int) []*task.Task {
-	if !ix.filt.MayContain(ix.indices(addr)) {
-		return nil
-	}
 	e := ix.tab.Get(addr)
 	if e == nil {
 		return nil
@@ -189,9 +139,6 @@ func (ix *Index) LaterWriters(addr uint64, o task.Order, self *task.Task, tile i
 // o observes; the engine uses it to model forwarding latency — a consumer
 // cannot complete before the producer's execution produced the value.
 func (ix *Index) LatestEarlierWriter(addr uint64, o task.Order, self *task.Task, tile int) *task.Task {
-	if !ix.filt.MayContain(ix.indices(addr)) {
-		return nil
-	}
 	e := ix.tab.Get(addr)
 	if e == nil {
 		return nil
@@ -226,9 +173,6 @@ func (ix *Index) LaterAccessors(addr uint64, o task.Order, self *task.Task, tile
 // is an epoch stamp on the task, bumped per walk, replacing the quadratic
 // membership scan over the result slice.
 func (ix *Index) laterAccessorsInto(dst []*task.Task, addr uint64, o task.Order, self *task.Task, tile int) []*task.Task {
-	if !ix.filt.MayContain(ix.indices(addr)) {
-		return dst
-	}
 	e := ix.tab.Get(addr)
 	if e == nil {
 		return dst
@@ -254,12 +198,9 @@ func (ix *Index) laterAccessorsInto(dst []*task.Task, addr uint64, o task.Order,
 }
 
 // Remove unregisters a task from every address it touched in its current
-// attempt. Call on commit and on abort (before ResetAttempt). Every
-// registration's presence-filter count is released, mirroring the OnRead/
-// OnWrite that created it.
+// attempt. Call on commit and on abort (before ResetAttempt).
 func (ix *Index) Remove(t *task.Task) {
 	for _, a := range t.Reads {
-		ix.filt.Remove(ix.indices(a))
 		if e := ix.tab.Get(a); e != nil {
 			e.readers = removeTask(e.readers, t)
 			if len(e.readers) == 0 && len(e.writers) == 0 {
@@ -268,18 +209,12 @@ func (ix *Index) Remove(t *task.Task) {
 		}
 	}
 	for _, a := range t.Writes {
-		ix.filt.Remove(ix.indices(a))
 		if e := ix.tab.Get(a); e != nil {
 			e.writers = removeTask(e.writers, t)
 			if len(e.readers) == 0 && len(e.writers) == 0 {
 				ix.release(a, e)
 			}
 		}
-	}
-	if t.Sigs != nil {
-		t.Sigs.Reset()
-		ix.sigPool.Put(t.Sigs)
-		t.Sigs = nil
 	}
 }
 

@@ -284,7 +284,11 @@ func (e *Engine) run() (*Stats, error) {
 		e.flushIdle(c)
 	}
 	e.finalizeStats()
-	return &e.stats, nil
+	// Return a copy: a pointer into the engine would keep its queues,
+	// conflict table, and cache arrays alive as long as the caller (a
+	// result cache, say) holds the Stats.
+	st := e.stats
+	return &st, nil
 }
 
 // dumpState renders per-tile queue occupancy and the earliest stuck tasks,

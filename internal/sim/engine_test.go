@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"swarmhints/internal/sched"
 	"swarmhints/internal/task"
@@ -437,4 +439,44 @@ func TestConfigWithCores(t *testing.T) {
 	if DefaultConfig().WithCores(1).Cores() != 1 {
 		t.Fatal("1-core config wrong")
 	}
+}
+
+// runTracked runs a program and reports, through collected, when the
+// engine's conflict index is garbage collected. The finalizer sits on the
+// index rather than the Engine itself: the Engine is in a reference cycle
+// through its per-core contexts, and the runtime never finalizes an object
+// reachable from itself. Only the engine references its index, so the index
+// is collected exactly when the engine is.
+func runTracked(t *testing.T, p *Program, roots []Root, cfg Config) (*Stats, <-chan struct{}) {
+	e := newEngine(p, cfg)
+	collected := make(chan struct{})
+	runtime.SetFinalizer(e.index, func(any) { close(collected) })
+	for _, r := range roots {
+		e.enqueue(nil, 0, r.Fn, r.TS, r.HintKind, r.Hint, r.Args...)
+	}
+	st, err := e.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, collected
+}
+
+// TestStatsDoNotPinEngine: a caller holding only a run's *Stats (a result
+// cache, say) must not keep the engine alive — its queues, conflict table,
+// and cache arrays are megabytes per run.
+func TestStatsDoNotPinEngine(t *testing.T) {
+	p, roots, _ := counterProgram(64, false)
+	st, collected := runTracked(t, p, roots, testCfg(4, sched.Hints))
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if st.CommittedTasks != 64 {
+				t.Fatalf("committed %d tasks, want 64", st.CommittedTasks)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("engine still reachable from its returned Stats")
 }

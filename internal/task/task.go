@@ -9,7 +9,6 @@ import (
 
 	"swarmhints/internal/hashutil"
 	"swarmhints/internal/mem"
-	"swarmhints/internal/sig"
 )
 
 // FnID identifies a registered task function.
@@ -91,15 +90,6 @@ type Task struct {
 	RunCycles uint64 // cycles of the current attempt
 	Aborts    int    // times this task has been aborted and retried
 
-	// Sigs holds the per-attempt Bloom read/write conflict signatures a
-	// Swarm tile keeps for the task (Table II: 2 Kbit, 8-way). The conflict
-	// index attaches a pooled block on the first registered access of an
-	// attempt, populates it on every access, maintains the counting union
-	// of all live signatures as its address pre-filter, and reclaims the
-	// block when the task is removed from the index; nil means the attempt
-	// has not accessed memory.
-	Sigs *sig.Attempt
-
 	// SeenStamp and AbortStamp are conflict-index query epochs (see
 	// internal/conflict): a task is in the current accessor-dedup or
 	// abort-closure set iff its stamp equals the index's current epoch.
@@ -125,9 +115,6 @@ func (t *Task) ResetAttempt() {
 	t.Undo.Reset()
 	t.Reads = t.Reads[:0]
 	t.Writes = t.Writes[:0]
-	if t.Sigs != nil { // usually already reclaimed by conflict.Index.Remove
-		t.Sigs.Reset()
-	}
 	t.RunCycles = 0
 	t.Children = t.Children[:0]
 }
@@ -145,9 +132,6 @@ func (t *Task) init(id uint64, fn FnID, ts uint64, kind HintKind, hint uint64, p
 	t.Children = t.Children[:0]
 	t.Undo.Reset()
 	t.Reads, t.Writes = t.Reads[:0], t.Writes[:0]
-	if t.Sigs != nil {
-		t.Sigs.Reset()
-	}
 	t.SeenStamp, t.AbortStamp = 0, 0
 	t.RunCycles, t.Aborts = 0, 0
 	t.DispatchCycle = 0
