@@ -278,8 +278,10 @@ func TestGatewayRunMatchesSingleSwarmd(t *testing.T) {
 
 // TestGatewayErrorEnvelope: the gateway speaks the same error contract as
 // the replicas — structured envelope, same codes, no plain-text bodies —
-// including for requests it rejects locally without touching the fleet.
+// including for requests it rejects locally without touching the fleet:
+// every rejection's status and body bytes equal a direct swarmd's.
 func TestGatewayErrorEnvelope(t *testing.T) {
+	single := startReplica(t, "")
 	r1 := startReplica(t, "")
 	_, ts := startGateway(t, BalancerAdaptive, r1.URL)
 	cases := []struct {
@@ -289,26 +291,40 @@ func TestGatewayErrorEnvelope(t *testing.T) {
 		status int
 	}{
 		{"/v1/run", `{"bench":"no-such","sched":"hints","cores":1,"scale":"tiny"}`, api.CodeUnknownBench, 400},
+		{"/v1/run", `{"bench":"des","sched":"warp","cores":1,"scale":"tiny"}`, api.CodeUnknownSched, 400},
+		{"/v1/run", `{"bench":"des","sched":"hints","cores":1,"scale":"giant"}`, api.CodeUnknownScale, 400},
+		{"/v1/run", `{"bench":"des","sched":"hints","cores":3,"scale":"tiny"}`, api.CodeBadCores, 400},
+		{"/v1/run", `{"bench":"des","sched":"hints","cores":1,"scale":"tiny","seeds":-1}`, api.CodeBadRequest, 400},
+		{"/v1/run", `{"bench":"des","sched":"hints","cores":1,"scale":"tiny","seeds":4097}`, api.CodeBadRequest, 400},
+		{"/v1/run", `{"bench":"des","sched":"hints","cores":1,"scale":"tiny","color":"red"}`, api.CodeBadRequest, 400},
 		{"/v1/run", `{"bench":`, api.CodeBadRequest, 400},
 		{"/v1/sweep", `{"benches":["des"],"scheds":["hints"],"cores":[1],"scale":"tiny","format":"xml"}`, api.CodeUnknownFormat, 400},
 		{"/v1/sweep", `{"benches":[],"scheds":["hints"],"cores":[1],"scale":"tiny"}`, api.CodeBadRequest, 400},
 		{"/v1/experiments/fig99", `{}`, api.CodeUnknownExperiment, 404},
+		{"/v1/experiments/fig2", `{"scale":"tiny","format":"yaml"}`, api.CodeUnknownFormat, 400},
 	}
 	for _, tc := range cases {
 		resp, b := post(t, ts.URL, tc.path, tc.body)
 		if resp.StatusCode != tc.status {
-			t.Errorf("%s: status %d, want %d (%s)", tc.path, resp.StatusCode, tc.status, b)
+			t.Errorf("%s %s: status %d, want %d (%s)", tc.path, tc.body, resp.StatusCode, tc.status, b)
 			continue
 		}
 		aerr := api.DecodeError(resp.StatusCode, bytes.TrimSpace(b))
 		if aerr.Code != tc.code {
-			t.Errorf("%s: code %q, want %q (%s)", tc.path, aerr.Code, tc.code, b)
+			t.Errorf("%s %s: code %q, want %q (%s)", tc.path, tc.body, aerr.Code, tc.code, b)
+		}
+		wantResp, want := post(t, single.URL, tc.path, tc.body)
+		if resp.StatusCode != wantResp.StatusCode || !bytes.Equal(b, want) {
+			t.Errorf("%s %s: gateway answered %d %s, a direct swarmd %d %s",
+				tc.path, tc.body, resp.StatusCode, b, wantResp.StatusCode, want)
 		}
 	}
 }
 
 // TestGatewayExperimentProxy: listing and running experiments through the
-// gateway returns exactly what a replica returns.
+// gateway returns exactly what a replica returns, under a scoring and a
+// load-tracking balancer alike — and every proxied call hands its balancer
+// slot back, so the replicas' scores end where they started.
 func TestGatewayExperimentProxy(t *testing.T) {
 	single := startReplica(t, "")
 	wantList := func(url string) []byte {
@@ -320,20 +336,31 @@ func TestGatewayExperimentProxy(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		return b
 	}
-	dir := t.TempDir()
-	r1, r2 := startReplica(t, dir), startReplica(t, dir)
-	_, ts := startGateway(t, BalancerAdaptive, r1.URL, r2.URL)
-	if got, want := wantList(ts.URL), wantList(single.URL); !bytes.Equal(got, want) {
-		t.Errorf("gateway experiment listing differs:\n%s\nvs\n%s", got, want)
-	}
+	for _, balancer := range []string{BalancerAdaptive, BalancerP2C} {
+		t.Run(balancer, func(t *testing.T) {
+			dir := t.TempDir()
+			r1, r2 := startReplica(t, dir), startReplica(t, dir)
+			g, ts := startGateway(t, balancer, r1.URL, r2.URL)
+			for i := 0; i < 4; i++ {
+				if got, want := wantList(ts.URL), wantList(single.URL); !bytes.Equal(got, want) {
+					t.Errorf("gateway experiment listing differs:\n%s\nvs\n%s", got, want)
+				}
+			}
 
-	body := `{"scale":"tiny","cores":[1,4]}`
-	resp, got := post(t, ts.URL, "/v1/experiments/fig2", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("gateway fig2 status %d: %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(got, fig2Golden(t)) {
-		t.Error("gateway-proxied fig2 differs from the golden export")
+			body := `{"scale":"tiny","cores":[1,4]}`
+			resp, got := post(t, ts.URL, "/v1/experiments/fig2", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("gateway fig2 status %d: %s", resp.StatusCode, got)
+			}
+			if !bytes.Equal(got, fig2Golden(t)) {
+				t.Error("gateway-proxied fig2 differs from the golden export")
+			}
+			for u, score := range g.Counters().Scores {
+				if score != 1 {
+					t.Errorf("replica %s score = %v after the proxied calls, want 1", u, score)
+				}
+			}
+		})
 	}
 }
 

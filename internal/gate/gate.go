@@ -1,12 +1,14 @@
 // Package gate is the fleet front door behind cmd/swarmgate: an HTTP
 // gateway exposing the same /v1 surface as a single swarmd (swarm/api
-// contract), which decomposes sweep grids point-by-point across a fleet
-// of swarmd replicas, routes each point through a pluggable balancer
-// (adaptive pheromone scoring, power-of-two-choices, or round-robin),
-// executes with a per-point timeout and bounded retry-on-retryable
-// against a different replica, and reassembles the canonical-order
-// response stream — so gateway output is byte-identical to a single
-// swarmd's for the same request.
+// contract). Its run and sweep endpoints are the shared front end
+// (internal/front), which decomposes sweep grids point-by-point and
+// reassembles the canonical-order response; the gateway supplies the
+// point executor, which routes each point to one of a fleet of swarmd
+// replicas through a pluggable balancer (adaptive pheromone scoring,
+// power-of-two-choices, or round-robin) and executes it with a per-point
+// timeout and bounded retry-on-retryable against a different replica — so
+// gateway output is byte-identical to a single swarmd's for the same
+// request.
 //
 // Health is maintained two ways: a background prober polls every
 // replica's /healthz, and in-band outcomes adjust both the health flag

@@ -1,36 +1,43 @@
 package gate
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"net/http"
-	"sync"
+	"time"
 
-	"swarmhints/internal/bench"
 	"swarmhints/internal/cliutil"
-	"swarmhints/internal/exp"
 	"swarmhints/internal/fault"
+	"swarmhints/internal/front"
 	"swarmhints/internal/metrics"
 	"swarmhints/internal/obs"
-	"swarmhints/internal/service"
 	"swarmhints/swarm"
 	"swarmhints/swarm/api"
 )
 
 // The gateway serves the same /v1 surface as a single swarmd, on the same
-// swarm/api contract. Requests are validated with the exact parse logic
-// the replicas use (service.ParseRun/ParseSweep), so the gateway never
-// forwards a point a replica would reject, and validation errors carry
-// the same envelope codes a replica would return.
+// swarm/api contract. Run and sweep requests go through the shared front
+// end (internal/front) with the replica router as its point executor, so
+// the gateway validates with exactly the logic the replicas use — it never
+// forwards a point a replica would reject, and its validation errors are
+// a replica's — and assembles every response with the same code.
+
+// replicaHeader names the replica that served a run or experiment.
+const replicaHeader = "X-Swarmgate-Replica"
 
 // Handler returns the gateway's HTTP API.
 func (g *Gateway) Handler() http.Handler {
+	fe := &front.Front{
+		Name:         "swarmgate",
+		Exec:         g.exec,
+		Parallel:     g.opt.Concurrency,
+		SourceHeader: replicaHeader,
+		OnSweep:      func() { g.sweeps.Add(1) },
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", g.handleRun)
-	mux.HandleFunc("POST /v1/sweep", g.handleSweep)
+	mux.HandleFunc("POST /v1/run", fe.Run)
+	mux.HandleFunc("POST /v1/sweep", fe.Sweep)
 	mux.HandleFunc("GET /v1/experiments", g.handleExperimentList)
 	mux.HandleFunc("POST /v1/experiments/{id}", g.handleExperiment)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
@@ -42,351 +49,81 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// traced begins (or continues, when the caller sent an X-Swarm-Trace
-// header) the request's root span and echoes its trace on the response,
-// so a client can immediately fetch /debug/traces/{id} for the request it
-// just made. Callers must End the returned span.
-func traced(w http.ResponseWriter, r *http.Request, name string) (context.Context, *obs.Span) {
-	ctx, sp := obs.ContinueSpan(r.Context(), r.Header.Get(api.TraceHeader), name)
-	if sp != nil {
-		w.Header().Set(api.TraceHeader, sp.Header())
-	}
-	return ctx, sp
-}
-
-// pointRequest builds the canonical per-point /v1/run request: scale and
-// seed resolved and explicit, the scheduler in its parseable spelling.
-func pointRequest(p exp.Point, scale bench.Scale, seed int64) api.RunRequest {
-	return api.Point{
+// exec is the front end's point executor: route the point to a replica as
+// one canonical /v1/run — scale and seed explicit, the scheduler in its
+// parseable spelling — and restore the replica's record into statistics,
+// exactly as a store hit restores a persisted one. The serving replica's
+// URL is the provenance.
+func (g *Gateway) exec(ctx context.Context, cfg front.Config) (*swarm.Stats, string, error) {
+	p := cfg.Point
+	rr := api.Point{
 		Bench: p.Name, Sched: cliutil.SchedFlag(p.Kind),
 		Cores: p.Cores, Profile: p.Profile,
-	}.Run(scale.String(), seed)
+	}.Run(cfg.Scale.String(), cfg.Seed)
+	rec, url, aerr := g.runPoint(ctx, rr)
+	if aerr != nil {
+		return nil, "", aerr
+	}
+	return swarm.StatsFromSnapshot(rec.Snapshot), url, nil
 }
 
-// handleRun serves POST /v1/run by routing the point to one replica. The
-// response is the replica's single-record result set re-encoded — byte
-// identical, since both ends marshal the same metrics.ResultSet shape.
-func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
-	ctx, sp := traced(w, r, "swarmgate.run")
-	defer sp.End()
-	var req api.RunRequest
-	if aerr := api.DecodeRequest(w, r, &req); aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	cfg, aerr := service.ParseRun(req)
-	if aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	sp.SetAttr("key", cfg.Key())
-	if req.Seeds > 1 {
-		g.handleRunSeeds(w, ctx, cfg, req.Seeds)
-		return
-	}
-	rec, url, aerr := g.runPoint(ctx, pointRequest(cfg.Point, cfg.Scale, cfg.Seed))
-	if aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	rs := metrics.ResultSet{Schema: metrics.SchemaVersion, Fields: exp.ExportFields,
-		Records: []metrics.Record{rec}}
-	var buf bytes.Buffer
-	if err := rs.WriteJSON(&buf); err != nil {
-		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Swarmgate-Replica", url)
-	_, _ = w.Write(buf.Bytes())
-}
-
-// handleRunSeeds serves a seeds > 1 run request: the configuration's seed
-// replicas become per-seed /v1/run requests — the same routing unit as a
-// sweep point, balanced, retried, and bounded exactly alike — and the
-// responses are merged in fixed seed order. Each replica executes (and
-// store-caches) one seed under its ordinary per-seed key, so the merged
-// answer is byte-identical to a single swarmd serving the same seeds
-// request, and incremental when the fan-out is repeated with more seeds.
-func (g *Gateway) handleRunSeeds(w http.ResponseWriter, ctx context.Context, cfg service.Config, n int) {
-	seeds := exp.ReplicaSeeds(cfg.Seed, n)
-	rrs := make([]api.RunRequest, len(seeds))
-	for i, s := range seeds {
-		rrs[i] = pointRequest(cfg.Point, cfg.Scale, s)
-	}
-	recs, aerr := g.runAllPoints(ctx, rrs)
-	if aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	per := make([]*swarm.Stats, len(recs))
-	for i := range recs {
-		per[i] = swarm.StatsFromSnapshot(recs[i].Snapshot)
-	}
-	merged, err := swarm.MergeStats(per)
-	if err != nil {
-		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
-		return
-	}
-	rs := exp.ExportSet([]exp.Point{cfg.Point}, cfg.Scale, cfg.Seed,
-		func(exp.Point) *swarm.Stats { return merged })
-	var buf bytes.Buffer
-	if err := rs.WriteJSON(&buf); err != nil {
-		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(buf.Bytes())
-}
-
-// handleSweep serves POST /v1/sweep: the grid is decomposed into points,
-// each point routed to a balancer-chosen replica, and the responses are
-// reassembled in canonical configuration order — the same order, framing,
-// and bytes a single swarmd would emit.
-func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	ctx, sp := traced(w, r, "swarmgate.sweep")
-	defer sp.End()
-	var req api.SweepRequest
-	if aerr := api.DecodeRequest(w, r, &req); aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	points, scale, seed, aerr := service.ParseSweep(req)
-	if aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	sp.SetAttrInt("points", int64(len(points)))
-	format := req.Format
-	if format == "" {
-		format = "ndjson"
-	}
-	rrs := make([]api.RunRequest, len(points))
-	for i, p := range points {
-		rrs[i] = pointRequest(p, scale, seed)
-	}
-	g.sweeps.Add(1)
-
-	switch format {
-	case "ndjson":
-		g.streamSweep(w, ctx, rrs)
-	case "json", "csv":
-		recs, aerr := g.runAllPoints(ctx, rrs)
-		if aerr != nil {
-			api.WriteError(w, aerr)
-			return
+// proxy runs one whole-request call against a replica, re-routing
+// retryable failures to a different replica like any point. Every pick is
+// paired with exactly one balancer Observe, as the Balancer contract
+// requires. A proxied call's latency is not comparable with a point's, so
+// only a retryable (instance-bound) failure feeds the balancer a signal;
+// successes and deterministic rejections just return the slot.
+func (g *Gateway) proxy(ctx context.Context, call func(*replica) error) *api.Error {
+	var lastErr *api.Error
+	last := -1
+	for a := 0; a <= g.opt.Retries; a++ {
+		if err := ctx.Err(); err != nil {
+			return api.Errorf(api.CodeShuttingDown, "%v", err)
 		}
-		rs := metrics.ResultSet{Schema: metrics.SchemaVersion, Fields: exp.ExportFields, Records: recs}
-		g.writeResultSet(w, &rs, format)
-	default:
-		api.WriteError(w, api.UnknownFormat(format, api.SweepFormats))
-	}
-}
-
-// writeResultSet encodes a reassembled result set in a buffered format.
-func (g *Gateway) writeResultSet(w http.ResponseWriter, rs *metrics.ResultSet, format string) {
-	var buf bytes.Buffer
-	var contentType string
-	var err error
-	switch format {
-	case "json":
-		contentType = "application/json"
-		err = rs.WriteJSON(&buf)
-	case "csv":
-		contentType = "text/csv"
-		err = rs.WriteCSV(&buf)
-	default:
-		api.WriteError(w, api.UnknownFormat(format, api.SweepFormats))
-		return
-	}
-	if err != nil {
-		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
-		return
-	}
-	w.Header().Set("Content-Type", contentType)
-	_, _ = w.Write(buf.Bytes())
-}
-
-// runAllPoints routes every point across the fleet with bounded
-// concurrency and returns the records in point order. The first
-// non-retryable failure cancels the remaining points and is reported;
-// cancellation ripples are suppressed in its favor.
-func (g *Gateway) runAllPoints(ctx context.Context, rrs []api.RunRequest) ([]metrics.Record, *api.Error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	recs := make([]metrics.Record, len(rrs))
-	errs := make([]*api.Error, len(rrs))
-	sem := make(chan struct{}, g.opt.Concurrency)
-	var wg sync.WaitGroup
-	for i := range rrs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = api.Errorf(api.CodeShuttingDown, "%v", ctx.Err())
-				return
-			}
-			defer func() { <-sem }()
-			rec, _, aerr := g.runPoint(ctx, rrs[i])
-			if aerr != nil {
-				errs[i] = aerr
-				cancel()
-				return
-			}
-			recs[i] = rec
-		}()
-	}
-	wg.Wait()
-	var first *api.Error
-	for _, e := range errs {
-		if e == nil {
-			continue
+		i := g.pick(last)
+		rep := g.replicas[i]
+		start := time.Now()
+		err := call(rep)
+		if err == nil {
+			g.bal.Observe(i, time.Since(start), OutcomeCanceled)
+			return nil
 		}
-		// Prefer the root-cause failure over cancellation ripples.
-		if first == nil || (first.Code == api.CodeShuttingDown && e.Code != api.CodeShuttingDown) {
-			first = e
+		lastErr = api.AsError(err)
+		if ctx.Err() != nil || !lastErr.Retryable {
+			g.bal.Observe(i, time.Since(start), OutcomeCanceled)
+			break
 		}
+		g.bal.Observe(i, time.Since(start), OutcomeFailure)
+		if lastErr.Code == api.CodeUnavailable || lastErr.Code == api.CodeShuttingDown {
+			rep.healthy.Store(false)
+		}
+		last = i
 	}
-	if first != nil {
-		return nil, first
-	}
-	return recs, nil
-}
-
-// streamSweep emits the sweep as NDJSON in the api framing, routing
-// points across the fleet with bounded concurrency and writing record i
-// as soon as records 0..i have all completed — the same prefix-order
-// streaming a single swarmd performs, so the stream bytes are identical.
-// A point that fails after its retries truncates the stream (no trailer),
-// exactly as a single swarmd's mid-grid failure would.
-func (g *Gateway) streamSweep(w http.ResponseWriter, ctx context.Context, rrs []api.RunRequest) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	header, err := api.EncodeHeader(api.StreamHeader{
-		Schema: metrics.SchemaVersion, Fields: exp.ExportFields, Points: len(rrs),
-	})
-	if err != nil {
-		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
-		return
-	}
-	written := int64(0)
-	if n, err := w.Write(header); err != nil {
-		return
-	} else {
-		written += int64(n)
-	}
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	flush()
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var mu sync.Mutex // guards next, lines, streamErr, written, and writes to w
-	next := 0
-	lines := make(map[int][]byte, len(rrs))
-	var streamErr error
-	sem := make(chan struct{}, g.opt.Concurrency)
-	var wg sync.WaitGroup
-	for i := range rrs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-sem }()
-			rec, _, aerr := g.runPoint(ctx, rrs[i])
-			mu.Lock()
-			defer mu.Unlock()
-			if streamErr != nil {
-				return
-			}
-			if aerr != nil {
-				streamErr = aerr
-				cancel()
-				return
-			}
-			line, err := api.EncodeRecord(rec)
-			if err != nil {
-				streamErr = err
-				cancel()
-				return
-			}
-			lines[i] = line
-			for next < len(rrs) && lines[next] != nil {
-				n, err := w.Write(lines[next])
-				written += int64(n)
-				if err != nil {
-					streamErr = err
-					cancel()
-					return
-				}
-				delete(lines, next)
-				next++
-			}
-			flush()
-		}()
-	}
-	wg.Wait()
-	if streamErr != nil {
-		slog.Error("sweep stream aborted",
-			"component", "swarmgate",
-			"trace", obs.Trace(ctx),
-			"point", next,
-			"points", len(rrs),
-			"bytes", written,
-			"err", streamErr)
-		return
-	}
-	if trailer, err := api.EncodeTrailer(len(rrs)); err == nil {
-		_, _ = w.Write(trailer)
-		flush()
-	}
+	return lastErr
 }
 
 // handleExperimentList proxies GET /v1/experiments from a replica and
 // re-encodes it — the listing is identical on every replica.
 func (g *Gateway) handleExperimentList(w http.ResponseWriter, r *http.Request) {
-	attempts := g.opt.Retries + 1
-	var lastErr *api.Error
-	last := -1
-	for a := 0; a < attempts; a++ {
-		i := g.pick(last)
-		rep := g.replicas[i]
-		list, err := rep.client.Experiments(r.Context())
-		if err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(list)
-			return
-		}
-		lastErr = api.AsError(err)
-		if lastErr.Code == api.CodeUnavailable || lastErr.Code == api.CodeShuttingDown {
-			rep.healthy.Store(false)
-		}
-		if !lastErr.Retryable {
-			break
-		}
-		last = i
+	var list []api.ExperimentInfo
+	if aerr := g.proxy(r.Context(), func(rep *replica) (err error) {
+		list, err = rep.client.Experiments(r.Context())
+		return err
+	}); aerr != nil {
+		api.WriteError(w, aerr)
+		return
 	}
-	api.WriteError(w, lastErr)
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(list)
 }
 
 // handleExperiment proxies POST /v1/experiments/{id} to one replica — an
 // experiment is a single unit of work (its points still hit the shared
-// store, so fleet-wide reuse holds). Retryable failures re-route to a
-// different replica like any point.
+// store, so fleet-wide reuse holds).
 func (g *Gateway) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	ctx, sp := traced(w, r, "swarmgate.experiment")
+	ctx, sp := front.Traced(w, r, "swarmgate.experiment")
 	defer sp.End()
 	id := r.PathValue("id")
 	sp.SetAttr("experiment", id)
@@ -395,34 +132,19 @@ func (g *Gateway) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, aerr)
 		return
 	}
-	attempts := g.opt.Retries + 1
-	var lastErr *api.Error
-	last := -1
-	for a := 0; a < attempts; a++ {
-		if err := ctx.Err(); err != nil {
-			api.WriteError(w, api.Errorf(api.CodeShuttingDown, "%v", err))
-			return
-		}
-		i := g.pick(last)
-		rep := g.replicas[i]
+	if aerr := g.proxy(ctx, func(rep *replica) error {
 		body, contentType, err := rep.client.Experiment(ctx, id, req)
-		if err == nil {
-			w.Header().Set("Content-Type", contentType)
-			w.Header().Set("X-Swarmgate-Replica", rep.url)
-			_, _ = io.Copy(w, body)
-			body.Close()
-			return
+		if err != nil {
+			return err
 		}
-		lastErr = api.AsError(err)
-		if lastErr.Code == api.CodeUnavailable || lastErr.Code == api.CodeShuttingDown {
-			rep.healthy.Store(false)
-		}
-		if !lastErr.Retryable {
-			break
-		}
-		last = i
+		defer body.Close()
+		w.Header().Set("Content-Type", contentType)
+		w.Header().Set(replicaHeader, rep.url)
+		_, _ = io.Copy(w, body)
+		return nil
+	}); aerr != nil {
+		api.WriteError(w, aerr)
 	}
-	api.WriteError(w, lastErr)
 }
 
 // handleHealthz reports the gateway's own liveness plus the per-replica

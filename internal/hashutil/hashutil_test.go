@@ -74,64 +74,3 @@ func TestHintHash16DistinguishesHints(t *testing.T) {
 		t.Fatalf("too many 16-bit hint collisions: %d/1000", collisions)
 	}
 }
-
-func TestH3Linearity(t *testing.T) {
-	// H3 is XOR-linear: h(a^b) == h(a)^h(b). This is the property that makes
-	// it a universal family suitable for Bloom signatures.
-	h := NewH3(7)
-	f := func(a, b uint64) bool {
-		return h.Hash(a^b) == h.Hash(a)^h.Hash(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestH3ZeroMapsToZero(t *testing.T) {
-	if NewH3(3).Hash(0) != 0 {
-		t.Fatal("H3(0) must be 0 by linearity")
-	}
-}
-
-func TestH3SeedsDiffer(t *testing.T) {
-	a, b := NewH3(1), NewH3(2)
-	same := 0
-	for x := uint64(1); x < 100; x++ {
-		if a.Hash(x) == b.Hash(x) {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("independently seeded H3s agree on %d/99 inputs", same)
-	}
-}
-
-func TestH3BankRange(t *testing.T) {
-	h := NewH3(11)
-	f := func(x uint64, n uint8) bool {
-		banks := int(n%32) + 1
-		b := h.Bank(x, banks)
-		return b >= 0 && b < banks
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestH3ByteSlicedMatchesReference pins the byte-sliced table evaluation to
-// the bit-by-bit H3 definition: identical values mean every Bloom signature
-// bit position is unchanged by the optimization.
-func TestH3ByteSlicedMatchesReference(t *testing.T) {
-	for seed := uint64(0); seed < 4; seed++ {
-		h := NewH3(0xb100 + seed)
-		f := func(x uint64) bool { return h.Hash(x) == h.hashRef(x) }
-		if err := quick.Check(f, nil); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, x := range []uint64{0, 1, ^uint64(0), 1 << 63, 0xff, 0x8000000000000001} {
-			if h.Hash(x) != h.hashRef(x) {
-				t.Fatalf("seed %d: Hash(%#x) = %#x, ref %#x", seed, x, h.Hash(x), h.hashRef(x))
-			}
-		}
-	}
-}

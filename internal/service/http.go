@@ -4,35 +4,39 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
-	"log/slog"
 	"net/http"
 
-	"swarmhints/internal/bench"
-	"swarmhints/internal/cliutil"
 	"swarmhints/internal/exp"
 	"swarmhints/internal/fault"
+	"swarmhints/internal/front"
 	"swarmhints/internal/metrics"
 	"swarmhints/internal/obs"
-	"swarmhints/internal/runner"
 	"swarmhints/swarm"
 	"swarmhints/swarm/api"
 )
 
-// The handlers speak the typed wire contract in swarm/api: request bodies
-// decode into api structs, every error response is the structured envelope
-// {"error":{"code","message","retryable"}} written by api.WriteError (no
-// plain-text http.Error bodies on /v1 endpoints), and NDJSON streams carry
-// the api framing — header, records, completion trailer.
+// The work-bearing run and sweep endpoints are the shared front end
+// (internal/front) over this service's cached, coalesced worker fleet; the
+// experiment endpoints, health, and metrics are swarmd's own.
 
 // Handler returns the service's HTTP API. The work-bearing endpoints pass
 // through the admission bound (admit); health, metrics, and the registry
 // listing never shed — an overloaded replica must still answer its prober.
 func (s *Service) Handler() http.Handler {
+	fe := &front.Front{
+		Name:         "swarmd",
+		Exec:         s.exec,
+		Parallel:     s.opt.Workers,
+		SourceHeader: "X-Swarmd-Source",
+		Merged:       string(SourceMerged),
+		ParseHist:    s.histParse,
+		BeforeRun:    s.runFaults,
+		BeforeLine:   s.stallFault,
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", s.admit(s.handleRun))
-	mux.HandleFunc("POST /v1/sweep", s.admit(s.handleSweep))
+	mux.HandleFunc("POST /v1/run", s.admit(fe.Run))
+	mux.HandleFunc("POST /v1/sweep", s.admit(fe.Sweep))
 	mux.HandleFunc("GET /v1/experiments", s.handleExperimentList)
 	mux.HandleFunc("POST /v1/experiments/{id}", s.admit(s.handleExperiment))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -44,15 +48,39 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// traced continues the trace the gateway sent in the X-Swarm-Trace header
-// (minting a fresh one for direct callers) and echoes the trace on the
-// response. Callers must End the returned span.
-func traced(w http.ResponseWriter, r *http.Request, name string) (context.Context, *obs.Span) {
-	ctx, sp := obs.ContinueSpan(r.Context(), r.Header.Get(api.TraceHeader), name)
-	if sp != nil {
-		w.Header().Set(api.TraceHeader, sp.Header())
+// exec is the front end's point executor: the cached, coalesced,
+// store-tiered fleet path, with the tier that answered as provenance.
+func (s *Service) exec(ctx context.Context, cfg Config) (*swarm.Stats, string, error) {
+	st, src, err := s.Stats(ctx, cfg)
+	return st, string(src), err
+}
+
+// runFaults fires the per-run-request chaos hooks: swarmd.run.slow delays
+// the request, swarmd.run.err fails it with an injected retryable 500.
+func (s *Service) runFaults(ctx context.Context) error {
+	if f, ok := s.siteSlow.Fire(); ok {
+		if err := f.Sleep(ctx); err != nil {
+			return err
+		}
 	}
-	return ctx, sp
+	if f, ok := s.siteErr.Fire(); ok && f.Err != nil {
+		return f.Err
+	}
+	return nil
+}
+
+// stallFault fires before every streamed sweep line: swarmd.stream.stall
+// freezes the stream mid-line (Latency) or kills it without the trailer
+// (Fail) — the truncation clients must detect and the gateway must absorb.
+func (s *Service) stallFault(ctx context.Context) error {
+	f, ok := s.siteStall.Fire()
+	if !ok {
+		return nil
+	}
+	if err := f.Sleep(ctx); err != nil {
+		return err
+	}
+	return f.Err
 }
 
 // admit is the bounded-admission gate in front of every work-bearing
@@ -81,360 +109,6 @@ func (s *Service) admit(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// checkCores rejects core counts the simulated machine cannot be built
-// with: sim.Config.WithCores silently rounds up to the next 1-or-k²·c mesh,
-// which would cache results under a mislabeled configuration key.
-func checkCores(cores []int) *api.Error {
-	for _, c := range cores {
-		if c < 1 {
-			return api.Errorf(api.CodeBadCores, "cores must be >= 1, got %d", c)
-		}
-		if got := swarm.ScaledConfig().WithCores(c).Cores(); got != c {
-			return api.Errorf(api.CodeBadCores, "cores must be 1 or fill a square mesh (nearest is %d), got %d", got, c)
-		}
-	}
-	return nil
-}
-
-// parseHarness resolves the shared (scale, seed) harness fields.
-func parseHarness(scaleName string, seed *int64) (bench.Scale, int64, *api.Error) {
-	if scaleName == "" {
-		scaleName = "small"
-	}
-	scale, err := cliutil.ParseScale(scaleName)
-	if err != nil {
-		return 0, 0, api.Errorf(api.CodeUnknownScale, "%v", err)
-	}
-	s := int64(7)
-	if seed != nil {
-		s = *seed
-	}
-	return scale, s, nil
-}
-
-// ParseRun resolves one run request into a fully specified configuration.
-// Exported because the gateway (internal/gate) validates with exactly this
-// logic, so a request it accepts is one every replica accepts.
-func ParseRun(req api.RunRequest) (Config, *api.Error) {
-	scale, seed, aerr := parseHarness(req.Scale, req.Seed)
-	if aerr != nil {
-		return Config{}, aerr
-	}
-	if _, ok := bench.Registry[req.Bench]; !ok {
-		return Config{}, api.Errorf(api.CodeUnknownBench, "unknown benchmark %q", req.Bench)
-	}
-	kind, err := cliutil.ParseSched(req.Sched)
-	if err != nil {
-		return Config{}, api.Errorf(api.CodeUnknownSched, "%v", err)
-	}
-	if aerr := checkCores([]int{req.Cores}); aerr != nil {
-		return Config{}, aerr
-	}
-	if req.Seeds < 0 || req.Seeds > api.MaxSeeds {
-		return Config{}, api.Errorf(api.CodeBadRequest, "seeds must be in [0, %d], got %d", api.MaxSeeds, req.Seeds)
-	}
-	return Config{Scale: scale, Seed: seed, Point: exp.Point{
-		Name: req.Bench, Kind: kind, Cores: req.Cores, Profile: req.Profile,
-	}}, nil
-}
-
-// ParseSweep resolves a sweep request into its deduplicated, canonically
-// ordered configuration points plus the harness fields. Exported for the
-// gateway, which decomposes the grid point-by-point across a replica fleet
-// and must enumerate exactly the points — in exactly the order — a single
-// swarmd would.
-func ParseSweep(req api.SweepRequest) ([]exp.Point, bench.Scale, int64, *api.Error) {
-	scale, seed, aerr := parseHarness(req.Scale, req.Seed)
-	if aerr != nil {
-		return nil, 0, 0, aerr
-	}
-	if len(req.Benches) == 0 || len(req.Scheds) == 0 || len(req.Cores) == 0 {
-		return nil, 0, 0, api.Errorf(api.CodeBadRequest, "benches, scheds, and cores must each list at least one value")
-	}
-	for _, b := range req.Benches {
-		if _, ok := bench.Registry[b]; !ok {
-			return nil, 0, 0, api.Errorf(api.CodeUnknownBench, "unknown benchmark %q", b)
-		}
-	}
-	var kinds []swarm.SchedKind
-	for _, sc := range req.Scheds {
-		k, err := cliutil.ParseSched(sc)
-		if err != nil {
-			return nil, 0, 0, api.Errorf(api.CodeUnknownSched, "%v", err)
-		}
-		kinds = append(kinds, k)
-	}
-	if aerr := checkCores(req.Cores); aerr != nil {
-		return nil, 0, 0, aerr
-	}
-	points := exp.DedupSorted(exp.Grid(req.Benches, kinds, req.Cores, req.Profile))
-	return points, scale, seed, nil
-}
-
-// handleRun serves POST /v1/run: one configuration, answered from the
-// cache when warm. The response is a single-record result set encoded
-// exactly as the CLI export encodes it. seeds > 1 fans the configuration
-// out across the worker fleet as seed replicas — each cached, coalesced,
-// and store-tiered under its own per-seed key — and answers with the
-// merged record.
-func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
-	ctx, sp := traced(w, r, "swarmd.run")
-	defer sp.End()
-	pt := obs.StartTimer()
-	var req api.RunRequest
-	if aerr := api.DecodeRequest(w, r, &req); aerr != nil {
-		pt.Observe(s.histParse)
-		api.WriteError(w, aerr)
-		return
-	}
-	cfg, aerr := ParseRun(req)
-	pt.Observe(s.histParse)
-	if aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	sp.SetAttr("key", cfg.Key())
-	if f, ok := s.siteSlow.Fire(); ok {
-		if err := f.Sleep(ctx); err != nil {
-			api.WriteError(w, runError(err))
-			return
-		}
-	}
-	if f, ok := s.siteErr.Fire(); ok && f.Err != nil {
-		api.WriteError(w, runError(f.Err))
-		return
-	}
-	var st *swarm.Stats
-	var src Source
-	var err error
-	if req.Seeds > 1 {
-		st, err = s.RunSeeds(ctx, cfg, req.Seeds)
-		src = SourceMerged
-	} else {
-		st, src, err = s.Stats(ctx, cfg)
-	}
-	if err != nil {
-		api.WriteError(w, runError(err))
-		return
-	}
-	rs := exp.ExportSet([]exp.Point{cfg.Point}, cfg.Scale, cfg.Seed,
-		func(exp.Point) *swarm.Stats { return st })
-	var buf bytes.Buffer
-	if err := rs.WriteJSON(&buf); err != nil {
-		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Swarmd-Source", string(src))
-	sp.SetAttr("source", string(src))
-	_, _ = w.Write(buf.Bytes())
-}
-
-// handleSweep serves POST /v1/sweep: the grid is sharded across the worker
-// fleet and, for NDJSON, streamed in canonical configuration order — record
-// i is written as soon as records 0..i have all completed, so output order
-// is deterministic for any worker count even though completion order is not.
-func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	ctx, sp := traced(w, r, "swarmd.sweep")
-	defer sp.End()
-	pt := obs.StartTimer()
-	var req api.SweepRequest
-	if aerr := api.DecodeRequest(w, r, &req); aerr != nil {
-		pt.Observe(s.histParse)
-		api.WriteError(w, aerr)
-		return
-	}
-	points, scale, seed, aerr := ParseSweep(req)
-	pt.Observe(s.histParse)
-	if aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	sp.SetAttrInt("points", int64(len(points)))
-	format := req.Format
-	if format == "" {
-		format = "ndjson"
-	}
-
-	switch format {
-	case "ndjson":
-		s.streamSweep(w, ctx, points, scale, seed)
-	case "json", "csv":
-		stats, err := s.runAll(ctx, points, scale, seed)
-		if err != nil {
-			api.WriteError(w, runError(err))
-			return
-		}
-		rs := exp.ExportSet(points, scale, seed, func(p exp.Point) *swarm.Stats { return stats[p.Key()] })
-		writeResultSet(w, rs, format, api.SweepFormats)
-	default:
-		api.WriteError(w, api.UnknownFormat(format, api.SweepFormats))
-	}
-}
-
-// runAll executes every point through the cached/coalesced fleet path and
-// returns the statistics keyed by configuration. The first failure cancels
-// the rest of the grid — the response is an error either way, so finishing
-// the remaining points would only burn fleet time.
-func (s *Service) runAll(ctx context.Context, points []exp.Point, scale bench.Scale, seed int64) (map[string]*swarm.Stats, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	jobs := make([]runner.Job, len(points))
-	for i, p := range points {
-		p := p
-		jobs[i] = runner.Job{
-			Name: p.Key(),
-			Run: func(int64) (*swarm.Stats, error) {
-				st, _, err := s.Stats(ctx, Config{Scale: scale, Seed: seed, Point: p})
-				return st, err
-			},
-		}
-	}
-	results := runner.Sweep(ctx, jobs, runner.Options{
-		Parallel: s.opt.Workers,
-		Seed:     seed,
-		OnResult: func(res runner.Result) {
-			if res.Err != nil {
-				cancel()
-			}
-		},
-	})
-	if err := runner.FirstErr(results); err != nil {
-		// The cancellation fans out to every unfinished job; report the
-		// failure that triggered it, not a ripple.
-		for _, res := range results {
-			if res.Err != nil && !errors.Is(res.Err, context.Canceled) {
-				return nil, res.Err
-			}
-		}
-		return nil, err
-	}
-	stats := make(map[string]*swarm.Stats, len(points))
-	for i, res := range results {
-		stats[points[i].Key()] = res.Stats
-	}
-	return stats, nil
-}
-
-// streamSweep emits the sweep as NDJSON in the api framing: a header line
-// carrying the schema and label fields, one compact record per line in
-// canonical configuration order, and — only when every point streamed —
-// the completion trailer. Reassembling the record lines into a ResultSet
-// and encoding it as indented JSON reproduces the buffered "json" response
-// byte for byte.
-func (s *Service) streamSweep(w http.ResponseWriter, ctx context.Context, points []exp.Point, scale bench.Scale, seed int64) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	header, err := api.EncodeHeader(api.StreamHeader{
-		Schema: metrics.SchemaVersion, Fields: exp.ExportFields, Points: len(points),
-	})
-	if err != nil {
-		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
-		return
-	}
-	written := int64(0)
-	if n, err := w.Write(header); err != nil {
-		return
-	} else {
-		written += int64(n)
-	}
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	flush()
-
-	// The first failure cancels the rest of the grid: an NDJSON stream has
-	// no way to signal an error retroactively, so it is truncated instead —
-	// a complete response always ends with the trailer line.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	next := 0 // next point index to emit
-	lines := make(map[int][]byte, len(points))
-	var streamErr error
-	jobs := make([]runner.Job, len(points))
-	for i, p := range points {
-		p := p
-		jobs[i] = runner.Job{
-			Name: p.Key(),
-			Run: func(int64) (*swarm.Stats, error) {
-				st, _, err := s.Stats(ctx, Config{Scale: scale, Seed: seed, Point: p})
-				return st, err
-			},
-		}
-	}
-	results := runner.Sweep(ctx, jobs, runner.Options{
-		Parallel: s.opt.Workers,
-		Seed:     seed,
-		// OnResult runs serialized under the runner's lock: safe to write.
-		OnResult: func(res runner.Result) {
-			if streamErr != nil {
-				return
-			}
-			if res.Err != nil {
-				streamErr = res.Err
-				cancel()
-				return
-			}
-			p := points[res.Index]
-			line, err := api.EncodeRecord(metrics.Record{
-				Labels:   exp.PointLabels(p, scale, seed),
-				Snapshot: res.Stats.Snapshot(),
-			})
-			if err != nil {
-				streamErr = err
-				cancel()
-				return
-			}
-			lines[res.Index] = line
-			for next < len(points) && lines[next] != nil {
-				// Chaos hook: a fired stall site freezes the stream mid-line
-				// (Latency) or kills it without the trailer (Fail) — the
-				// truncation clients must detect and the gateway must absorb.
-				if f, ok := s.siteStall.Fire(); ok {
-					if err := f.Sleep(ctx); err != nil {
-						streamErr = err
-						cancel()
-						return
-					}
-					if f.Err != nil {
-						streamErr = f.Err
-						cancel()
-						return
-					}
-				}
-				n, err := w.Write(lines[next])
-				written += int64(n)
-				if err != nil {
-					streamErr = err
-					cancel()
-					return
-				}
-				delete(lines, next)
-				next++
-			}
-			flush()
-		},
-	})
-	if streamErr == nil {
-		streamErr = runner.FirstErr(results)
-	}
-	if streamErr != nil {
-		slog.Error("sweep stream aborted",
-			"component", "swarmd",
-			"trace", obs.Trace(ctx),
-			"point", next,
-			"points", len(points),
-			"bytes", written,
-			"err", streamErr)
-		return
-	}
-	if trailer, err := api.EncodeTrailer(len(points)); err == nil {
-		_, _ = w.Write(trailer)
-		flush()
-	}
-}
-
 // handleExperimentList serves GET /v1/experiments: the paper's experiment
 // registry, in paper order.
 func (s *Service) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
@@ -454,7 +128,7 @@ func (s *Service) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
 // from cache. format "text" returns the human-readable tables; the
 // machine-readable formats return the same export the CLI emits.
 func (s *Service) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	ctx, sp := traced(w, r, "swarmd.experiment")
+	ctx, sp := front.Traced(w, r, "swarmd.experiment")
 	defer sp.End()
 	pt := obs.StartTimer()
 	e, err := exp.Find(r.PathValue("id"))
@@ -470,7 +144,7 @@ func (s *Service) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, aerr)
 		return
 	}
-	scale, seed, aerr := parseHarness(req.Scale, req.Seed)
+	scale, seed, aerr := front.ParseHarness(req.Scale, req.Seed)
 	pt.Observe(s.histParse)
 	if aerr != nil {
 		api.WriteError(w, aerr)
@@ -491,10 +165,13 @@ func (s *Service) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	opt.Seed = seed
 	opt.Parallel = s.opt.Workers
 	opt.Validate = s.opt.Validate
-	opt.Exec = s.Exec(scale, seed)
+	opt.Exec = func(ctx context.Context, p exp.Point) (*swarm.Stats, error) {
+		st, _, err := s.Stats(ctx, Config{Scale: scale, Seed: seed, Point: p})
+		return st, err
+	}
 	opt.Gate = s.AcquireSlot
 	if len(req.Cores) > 0 {
-		if aerr := checkCores(req.Cores); aerr != nil {
+		if aerr := front.CheckCores(req.Cores); aerr != nil {
 			api.WriteError(w, aerr)
 			return
 		}
@@ -508,7 +185,7 @@ func (s *Service) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		tableOut = io.Discard
 	}
 	if err := e.Run(ctx, runner, tableOut); err != nil {
-		api.WriteError(w, runError(err))
+		api.WriteError(w, front.RunError(err))
 		return
 	}
 	s.countExperiment(e.ID)
@@ -517,7 +194,7 @@ func (s *Service) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(tables.Bytes())
 		return
 	}
-	writeResultSet(w, runner.Export(), format, api.ExperimentFormats)
+	front.WriteResultSet(w, runner.Export(), format, api.ExperimentFormats)
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -528,80 +205,4 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = metrics.WriteProm(w, s.PromMetrics())
-}
-
-// writeResultSet encodes a completed result set in the requested format.
-// have is the calling endpoint's supported-format list, so an unsupported
-// format is rejected with the formats that endpoint actually offers.
-func writeResultSet(w http.ResponseWriter, rs *metrics.ResultSet, format string, have []string) {
-	var buf bytes.Buffer
-	var contentType string
-	var err error
-	switch format {
-	case "json":
-		contentType = "application/json"
-		err = rs.WriteJSON(&buf)
-	case "csv":
-		contentType = "text/csv"
-		err = rs.WriteCSV(&buf)
-	case "ndjson":
-		contentType = "application/x-ndjson"
-		err = writeNDJSON(&buf, rs)
-	default:
-		api.WriteError(w, api.UnknownFormat(format, have))
-		return
-	}
-	if err != nil {
-		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
-		return
-	}
-	w.Header().Set("Content-Type", contentType)
-	_, _ = w.Write(buf.Bytes())
-}
-
-// writeNDJSON encodes a completed result set in the api NDJSON framing:
-// header line, one compact record per line, completion trailer.
-func writeNDJSON(w io.Writer, rs *metrics.ResultSet) error {
-	header, err := api.EncodeHeader(api.StreamHeader{
-		Schema: rs.Schema, Fields: rs.Fields, Points: len(rs.Records),
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(header); err != nil {
-		return err
-	}
-	for _, rec := range rs.Records {
-		line, err := api.EncodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-	}
-	trailer, err := api.EncodeTrailer(len(rs.Records))
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(trailer)
-	return err
-}
-
-// runError maps an execution failure to its wire error: cancellations and
-// deadline hits mean this instance is draining or gave up — retryable
-// against another replica — while everything else is a deterministic
-// failure a retry would reproduce. Injected faults are the exception to
-// "internal is final": the failure is a property of this instance's
-// injection plan, not the configuration, so they stay retryable and the
-// gateway routes around them.
-func runError(err error) *api.Error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return api.Errorf(api.CodeShuttingDown, "%v", err)
-	}
-	e := api.Errorf(api.CodeInternal, "%v", err)
-	if errors.Is(err, fault.ErrInjected) {
-		e.Retryable = true
-	}
-	return e
 }

@@ -19,9 +19,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"swarmhints/internal/bench"
 	"swarmhints/internal/exp"
 	"swarmhints/internal/fault"
+	"swarmhints/internal/front"
 	"swarmhints/internal/metrics"
 	"swarmhints/internal/obs"
 	"swarmhints/internal/store"
@@ -42,21 +42,10 @@ const (
 	stageExecute  = "execute"
 )
 
-// Config is one fully specified simulation configuration: a harness point
-// plus the workload scale and seed the experiment harness fixes per run.
-type Config struct {
-	Scale bench.Scale
-	Seed  int64
-	Point exp.Point
-}
-
-// Key is the canonical cache key: the (scale, seed) harness prefix followed
-// by the experiment harness's own configuration key. Every result tier —
-// the LRU, the in-flight coalescing map, and the persistent store — keys on
-// exactly these bytes.
-func (c Config) Key() string {
-	return exp.ConfigKey(c.Scale, c.Seed, c.Point)
-}
+// Config is one fully specified simulation configuration; its Key is the
+// canonical key every result tier — the LRU, the in-flight coalescing map,
+// and the persistent store — uses.
+type Config = front.Config
 
 // Options configures a Service.
 type Options struct {
@@ -370,28 +359,6 @@ func (s *Service) Stats(ctx context.Context, cfg Config) (*swarm.Stats, Source, 
 	return f.st, src, f.err
 }
 
-// RunSeeds answers one configuration as a merged multi-seed aggregate:
-// the n seed replicas (workload seeds derived from cfg.Seed in replica
-// order) fan out across the worker fleet through Stats — so each replica
-// is cached, coalesced, and store-tiered under its own per-seed key — and
-// are merged in fixed seed order, making the aggregate byte-identical at
-// any worker count and incremental when more seeds are requested later.
-func (s *Service) RunSeeds(ctx context.Context, cfg Config, n int) (*swarm.Stats, error) {
-	sr := exp.SeedRun{
-		Point:    cfg.Point,
-		Scale:    cfg.Scale,
-		BaseSeed: cfg.Seed,
-		Seeds:    n,
-		Parallel: s.opt.Workers,
-		Exec: func(ctx context.Context, seed int64, p exp.Point) (*swarm.Stats, error) {
-			st, _, err := s.Stats(ctx, Config{Scale: cfg.Scale, Seed: seed, Point: p})
-			return st, err
-		},
-	}
-	merged, _, err := sr.Run(ctx)
-	return merged, err
-}
-
 // AcquireSlot blocks until a worker-fleet slot is free (or ctx dies) and
 // returns its release. It is the one gate every simulation the service
 // performs passes through — cacheable points via execute, bespoke
@@ -428,17 +395,6 @@ func (s *Service) execute(ctx context.Context, cfg Config) (*swarm.Stats, error)
 		return nil, err
 	}
 	return exp.RunPoint(cfg.Point, cfg.Scale, cfg.Seed, s.opt.Validate)
-}
-
-// Exec adapts the service's cached, coalesced, fleet-bounded execution path
-// to the experiment harness's pluggable executor, binding the harness's
-// (scale, seed). An exp.Runner built with this executor shares the
-// service-wide cache and worker fleet.
-func (s *Service) Exec(scale bench.Scale, seed int64) func(context.Context, exp.Point) (*swarm.Stats, error) {
-	return func(ctx context.Context, p exp.Point) (*swarm.Stats, error) {
-		st, _, err := s.Stats(ctx, Config{Scale: scale, Seed: seed, Point: p})
-		return st, err
-	}
 }
 
 // countExperiment records one experiment-endpoint invocation.

@@ -281,61 +281,6 @@ func TestFlightAbandonedByAllCallersAborts(t *testing.T) {
 	}
 }
 
-func TestSweepRequestParseValidation(t *testing.T) {
-	bad := []struct {
-		req  api.SweepRequest
-		code api.Code
-	}{
-		{api.SweepRequest{}, api.CodeBadRequest},
-		{api.SweepRequest{Benches: []string{"des"}, Scheds: []string{"hints"}}, api.CodeBadRequest},
-		{api.SweepRequest{Benches: []string{"no-such"}, Scheds: []string{"hints"}, Cores: []int{1}}, api.CodeUnknownBench},
-		{api.SweepRequest{Benches: []string{"des"}, Scheds: []string{"warp-speed"}, Cores: []int{1}}, api.CodeUnknownSched},
-		{api.SweepRequest{Benches: []string{"des"}, Scheds: []string{"hints"}, Cores: []int{0}}, api.CodeBadCores},
-		{api.SweepRequest{Benches: []string{"des"}, Scheds: []string{"hints"}, Cores: []int{1}, Scale: "giant"}, api.CodeUnknownScale},
-	}
-	for i, tc := range bad {
-		_, _, _, aerr := ParseSweep(tc.req)
-		if aerr == nil {
-			t.Errorf("bad request %d parsed cleanly: %+v", i, tc.req)
-			continue
-		}
-		if aerr.Code != tc.code {
-			t.Errorf("bad request %d: code = %q, want %q (message %q)", i, aerr.Code, tc.code, aerr.Message)
-		}
-		if aerr.Retryable {
-			t.Errorf("bad request %d: validation error marked retryable", i)
-		}
-	}
-	req := api.SweepRequest{
-		Benches: []string{"des", "des"}, // duplicates collapse
-		Scheds:  []string{"random", "hints"},
-		Cores:   []int{4, 1},
-		Scale:   "tiny",
-	}
-	points, scale, seed, err := ParseSweep(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale != bench.Tiny || seed != 7 {
-		t.Fatalf("harness = (%v, %d), want (tiny, 7)", scale, seed)
-	}
-	if len(points) != 4 {
-		t.Fatalf("grid has %d points, want 4 after dedup", len(points))
-	}
-	// Canonical order: by scheduler (Random < Hints), then cores.
-	want := []exp.Point{
-		{Name: "des", Kind: swarm.Random, Cores: 1},
-		{Name: "des", Kind: swarm.Random, Cores: 4},
-		{Name: "des", Kind: swarm.Hints, Cores: 1},
-		{Name: "des", Kind: swarm.Hints, Cores: 4},
-	}
-	for i := range want {
-		if points[i] != want[i] {
-			t.Fatalf("point %d = %+v, want %+v", i, points[i], want[i])
-		}
-	}
-}
-
 func TestHealthzAndExperimentList(t *testing.T) {
 	svc := New(DefaultOptions())
 	defer svc.Close()
