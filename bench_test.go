@@ -9,10 +9,14 @@
 package swarmhints_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,9 +24,12 @@ import (
 	"swarmhints/internal/calq"
 	"swarmhints/internal/conflict"
 	"swarmhints/internal/exp"
+	"swarmhints/internal/gate"
 	"swarmhints/internal/mem"
 	"swarmhints/internal/obs"
 	"swarmhints/internal/runner"
+	"swarmhints/internal/service"
+	"swarmhints/internal/store"
 	"swarmhints/internal/task"
 	"swarmhints/swarm"
 )
@@ -329,6 +336,66 @@ func BenchmarkSeedMerge(b *testing.B) {
 	}
 }
 
+// gatewayRecord is BenchmarkGatewayWarmRun's point, simulated once per
+// process: testing.Benchmark sets the benchmark up several times.
+var gatewayRecord struct {
+	once sync.Once
+	st   *swarm.Stats
+	err  error
+}
+
+// BenchmarkGatewayWarmRun measures one warm POST /v1/run end to end through
+// an in-process gateway over one replica whose LRU already holds the point
+// (a 16-core small-scale des record): the client's request, the gateway's
+// routing and check of the replica's answer, the replica's cached body, and
+// the relay back to the client, all over loopback HTTP.
+func BenchmarkGatewayWarmRun(b *testing.B) {
+	p := exp.Point{Name: "des", Kind: swarm.Hints, Cores: 16}
+	gatewayRecord.once.Do(func() {
+		gatewayRecord.st, gatewayRecord.err = exp.RunPoint(p, bench.Small, 7, false)
+	})
+	if gatewayRecord.err != nil {
+		b.Fatal(gatewayRecord.err)
+	}
+	st, err := store.Open(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.PutStats(exp.ConfigKey(bench.Small, 7, p), gatewayRecord.st); err != nil {
+		b.Fatal(err)
+	}
+	svc := service.New(service.Options{Workers: 1, Store: st})
+	defer svc.Close()
+	replica := httptest.NewServer(svc.Handler())
+	defer replica.Close()
+	g, err := gate.New(gate.Options{Replicas: []string{replica.URL}, ProbeInterval: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	front := httptest.NewServer(g.Handler())
+	defer front.Close()
+
+	req := []byte(`{"bench":"des","sched":"hints","cores":16,"scale":"small","seed":7}`)
+	run := func() {
+		resp, err := http.Post(front.URL+"/v1/run", "application/json", bytes.NewReader(req))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("warm run: status %d, %v", resp.StatusCode, err)
+		}
+	}
+	run() // the store hit that fills the replica's LRU
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkObsDisabled pins the disabled-path cost of the observability
 // layer (internal/obs): one iteration walks every instrumentation shape a
 // request path carries — StartSpan with attributes, a Timer, a direct
@@ -403,6 +470,7 @@ func TestBenchTrajectory(t *testing.T) {
 		{"MemLoadStore", BenchmarkMemLoadStore},
 		{"SweepRunner", BenchmarkSweepRunner},
 		{"SeedMerge", BenchmarkSeedMerge},
+		{"GatewayWarmRun", BenchmarkGatewayWarmRun},
 		{"ObsDisabled", BenchmarkObsDisabled},
 	} {
 		res := testing.Benchmark(b.fn)

@@ -403,9 +403,10 @@ func PointLabels(p Point, scale bench.Scale, seed int64) map[string]string {
 // ExportSet assembles the canonical machine-readable result set for a set
 // of configuration points: deduplicated, sorted by configuration, labeled
 // by ExportFields. stats supplies each point's statistics; points it
-// returns nil for are skipped. Both the experiment Runner's Export and the
-// swarmd service's sweep responses go through this one assembler, so equal
-// point sets encode to identical bytes no matter who served them.
+// returns nil for are skipped. The experiment Runner's Export goes through
+// this assembler, and the /v1 front end's per-point bodies (front.Body)
+// are pinned byte for byte to it, so equal point sets encode to identical
+// bytes no matter who served them.
 func ExportSet(points []Point, scale bench.Scale, seed int64, stats func(Point) *swarm.Stats) *metrics.ResultSet {
 	uniq := DedupSorted(points)
 	rs := metrics.NewResultSet(ExportFields...)

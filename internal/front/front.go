@@ -4,9 +4,10 @@
 // fan-out, prefix-ordered NDJSON streaming with its completion trailer, and
 // the buffered result-set encodings. A daemon plugs in one point executor
 // — swarmd its cached, coalesced worker fleet, swarmgate its replica
-// router — so every response is assembled by the same code through
-// exp.ExportSet, the encoder the CLIs use, and the two daemons' bytes are
-// identical by construction.
+// router — which answers with the point's canonical /v1/run body (see
+// Body), so every response is assembled from the bytes exp.ExportSet, the
+// encoder the CLIs use, writes, and the two daemons' bytes are identical by
+// construction.
 //
 // The handlers speak the typed wire contract in swarm/api: request bodies
 // decode into api structs, every error response is the structured envelope
@@ -17,6 +18,7 @@ package front
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
@@ -49,11 +51,11 @@ func (c Config) Key() string {
 	return exp.ConfigKey(c.Scale, c.Seed, c.Point)
 }
 
-// Exec executes one configuration and returns its statistics plus a
-// provenance string (how swarmd obtained the result, or which replica
-// served it). The statistics must be exactly what exp.RunPoint would
-// return for the configuration.
-type Exec func(ctx context.Context, cfg Config) (*swarm.Stats, string, error)
+// Exec executes one configuration and returns its canonical /v1/run body
+// plus a provenance string (how swarmd obtained the result, or which
+// replica served it). The body must be exactly what Body encodes for the
+// statistics exp.RunPoint would return for the configuration.
+type Exec func(ctx context.Context, cfg Config) ([]byte, string, error)
 
 // Front serves POST /v1/run and POST /v1/sweep over one point executor.
 // Everything but Name, Exec, Parallel, and SourceHeader is optional.
@@ -208,32 +210,17 @@ func (f *Front) Run(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var st *swarm.Stats
+	var body []byte
 	var src string
 	var err error
 	if req.Seeds > 1 {
-		sr := exp.SeedRun{
-			Point: cfg.Point, Scale: cfg.Scale, BaseSeed: cfg.Seed,
-			Seeds: req.Seeds, Parallel: f.Parallel,
-			Exec: func(ctx context.Context, seed int64, p exp.Point) (*swarm.Stats, error) {
-				st, _, err := f.Exec(ctx, Config{Scale: cfg.Scale, Seed: seed, Point: p})
-				return st, err
-			},
-		}
-		st, _, err = sr.Run(ctx)
+		body, err = f.runSeeds(ctx, cfg, req.Seeds)
 		src = f.Merged
 	} else {
-		st, src, err = f.Exec(ctx, cfg)
+		body, src, err = f.Exec(ctx, cfg)
 	}
 	if err != nil {
 		api.WriteError(w, RunError(err))
-		return
-	}
-	rs := exp.ExportSet([]exp.Point{cfg.Point}, cfg.Scale, cfg.Seed,
-		func(exp.Point) *swarm.Stats { return st })
-	var buf bytes.Buffer
-	if err := rs.WriteJSON(&buf); err != nil {
-		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -241,7 +228,35 @@ func (f *Front) Run(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(f.SourceHeader, src)
 		sp.SetAttr("source", src)
 	}
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
+}
+
+// runSeeds fans cfg out as seed replicas through exp.SeedRun — each
+// executed under its own per-seed configuration, so every replica is cached
+// and routed like any point — decodes each replica's body, and encodes the
+// merged record's body.
+func (f *Front) runSeeds(ctx context.Context, cfg Config, seeds int) ([]byte, error) {
+	sr := exp.SeedRun{
+		Point: cfg.Point, Scale: cfg.Scale, BaseSeed: cfg.Seed,
+		Seeds: seeds, Parallel: f.Parallel,
+		Exec: func(ctx context.Context, seed int64, p exp.Point) (*swarm.Stats, error) {
+			rcfg := Config{Scale: cfg.Scale, Seed: seed, Point: p}
+			body, _, err := f.Exec(ctx, rcfg)
+			if err != nil {
+				return nil, err
+			}
+			sn, err := DecodeBody(rcfg, body)
+			if err != nil {
+				return nil, err
+			}
+			return swarm.StatsFromSnapshot(sn), nil
+		},
+	}
+	st, _, err := sr.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return Body(cfg, st.Snapshot())
 }
 
 // Sweep serves POST /v1/sweep: the grid's points fan out across the
@@ -274,54 +289,84 @@ func (f *Front) Sweep(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "ndjson"
 	}
+	cfgs := make([]Config, len(points))
+	for i, p := range points {
+		cfgs[i] = Config{Scale: scale, Seed: seed, Point: p}
+	}
 	switch format {
 	case "ndjson":
-		f.stream(ctx, w, points, scale, seed)
+		f.stream(ctx, w, cfgs)
 	case "json", "csv":
-		stats, err := f.fanOut(ctx, points, scale, seed, nil)
+		bodies, err := f.fanOut(ctx, cfgs, nil)
+		if err == nil {
+			err = writeBuffered(w, cfgs, bodies, format)
+		}
 		if err != nil {
 			api.WriteError(w, RunError(err))
-			return
 		}
-		rs := exp.ExportSet(points, scale, seed, func(p exp.Point) *swarm.Stats { return stats[p.Key()] })
-		WriteResultSet(w, rs, format, api.SweepFormats)
 	default:
 		api.WriteError(w, api.UnknownFormat(format, api.SweepFormats))
 	}
 }
 
-// fanOut executes every point through the executor on a runner.Sweep pool
-// of Parallel workers and returns the statistics keyed by Point.Key. each,
-// when non-nil, sees every successful point as it completes, serialized.
-// The first failure — an execution error or an error from each — cancels
-// the rest of the grid, since the request fails either way, and is the
-// error reported: the cancellation ripples it causes in other points never
-// displace it.
-func (f *Front) fanOut(ctx context.Context, points []exp.Point, scale bench.Scale, seed int64, each func(i int, st *swarm.Stats) error) (map[string]*swarm.Stats, error) {
+// writeBuffered writes a completed sweep in a buffered format: the points'
+// bodies spliced into one set, which CSV decodes for its scalar columns.
+func writeBuffered(w http.ResponseWriter, cfgs []Config, bodies [][]byte, format string) error {
+	b, err := joinBodies(cfgs, bodies)
+	if err != nil {
+		return err
+	}
+	if format == "json" {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(b)
+		return nil
+	}
+	var rs metrics.ResultSet
+	if err := json.Unmarshal(b, &rs); err != nil {
+		return err
+	}
+	WriteResultSet(w, &rs, format, api.SweepFormats)
+	return nil
+}
+
+// fanOut executes every configuration through the executor on a
+// runner.Sweep pool of Parallel workers and returns the bodies in
+// configuration order. each, when non-nil, sees every successful point as
+// it completes, serialized. The first failure — an execution error or an
+// error from each — cancels the rest of the grid, since the request fails
+// either way, and is the error reported: the cancellation ripples it causes
+// in other points never displace it.
+func (f *Front) fanOut(ctx context.Context, cfgs []Config, each func(i int, body []byte) error) ([][]byte, error) {
+	if len(cfgs) == 0 {
+		return nil, nil
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	jobs := make([]runner.Job, len(points))
-	for i, p := range points {
-		cfg := Config{Scale: scale, Seed: seed, Point: p}
+	// Each job writes only its own slot, before the runner hands its
+	// result to OnResult.
+	bodies := make([][]byte, len(cfgs))
+	jobs := make([]runner.Job, len(cfgs))
+	for i, cfg := range cfgs {
 		jobs[i] = runner.Job{
-			Name: p.Key(),
+			Name: cfg.Point.Key(),
 			Run: func(int64) (*swarm.Stats, error) {
-				st, _, err := f.Exec(ctx, cfg)
-				return st, err
+				body, _, err := f.Exec(ctx, cfg)
+				bodies[i] = body
+				return nil, err
 			},
 		}
 	}
 	var failed error
 	results := runner.Sweep(ctx, jobs, runner.Options{
 		Parallel: f.Parallel,
-		Seed:     seed,
+		Seed:     cfgs[0].Seed,
 		// OnResult runs serialized under the runner's lock.
 		OnResult: func(res runner.Result) {
 			if failed != nil {
 				return
 			}
 			if failed = res.Err; failed == nil && each != nil {
-				failed = each(res.Index, res.Stats)
+				failed = each(res.Index, bodies[res.Index])
 			}
 			if failed != nil {
 				cancel()
@@ -336,11 +381,7 @@ func (f *Front) fanOut(ctx context.Context, points []exp.Point, scale bench.Scal
 	if failed != nil {
 		return nil, failed
 	}
-	stats := make(map[string]*swarm.Stats, len(results))
-	for _, res := range results {
-		stats[res.Name] = res.Stats
-	}
-	return stats, nil
+	return bodies, nil
 }
 
 // stream emits the sweep as NDJSON in the api framing: a header line
@@ -350,10 +391,10 @@ func (f *Front) fanOut(ctx context.Context, points []exp.Point, scale bench.Scal
 // retroactively, so a failed point truncates it instead. Reassembling the
 // record lines into a ResultSet and encoding it as indented JSON
 // reproduces the buffered "json" response byte for byte.
-func (f *Front) stream(ctx context.Context, w http.ResponseWriter, points []exp.Point, scale bench.Scale, seed int64) {
+func (f *Front) stream(ctx context.Context, w http.ResponseWriter, cfgs []Config) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	header, err := api.EncodeHeader(api.StreamHeader{
-		Schema: metrics.SchemaVersion, Fields: exp.ExportFields, Points: len(points),
+		Schema: metrics.SchemaVersion, Fields: exp.ExportFields, Points: len(cfgs),
 	})
 	if err != nil {
 		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
@@ -370,17 +411,14 @@ func (f *Front) stream(ctx context.Context, w http.ResponseWriter, points []exp.
 	flush()
 
 	next := 0 // next point index to emit
-	lines := make(map[int][]byte, len(points))
-	_, err = f.fanOut(ctx, points, scale, seed, func(i int, st *swarm.Stats) error {
-		line, err := api.EncodeRecord(metrics.Record{
-			Labels:   exp.PointLabels(points[i], scale, seed),
-			Snapshot: st.Snapshot(),
-		})
+	lines := make(map[int][]byte, len(cfgs))
+	_, err = f.fanOut(ctx, cfgs, func(i int, body []byte) error {
+		line, err := recordLine(cfgs[i], body)
 		if err != nil {
 			return err
 		}
 		lines[i] = line
-		for next < len(points) && lines[next] != nil {
+		for next < len(cfgs) && lines[next] != nil {
 			if f.BeforeLine != nil {
 				if err := f.BeforeLine(ctx); err != nil {
 					return err
@@ -402,12 +440,12 @@ func (f *Front) stream(ctx context.Context, w http.ResponseWriter, points []exp.
 			"component", f.Name,
 			"trace", obs.Trace(ctx),
 			"point", next,
-			"points", len(points),
+			"points", len(cfgs),
 			"bytes", written,
 			"err", err)
 		return
 	}
-	if trailer, err := api.EncodeTrailer(len(points)); err == nil {
+	if trailer, err := api.EncodeTrailer(len(cfgs)); err == nil {
 		_, _ = w.Write(trailer)
 		flush()
 	}

@@ -68,6 +68,15 @@ func TestSweepRequestParseValidation(t *testing.T) {
 	}
 }
 
+// configs places points under the tiny-scale default harness.
+func configs(points []exp.Point) []Config {
+	cfgs := make([]Config, len(points))
+	for i, p := range points {
+		cfgs[i] = Config{Scale: bench.Tiny, Seed: 7, Point: p}
+	}
+	return cfgs
+}
+
 // TestFanOutReportsRootCause: the first point to fail cancels the grid, and
 // the cancellations it causes in the points still in flight never displace
 // it as the reported error — whichever point index each landed on.
@@ -79,7 +88,7 @@ func TestFanOutReportsRootCause(t *testing.T) {
 		{Name: "des", Kind: swarm.Hints, Cores: 1},
 	}
 	waiting := make(chan struct{}, len(points))
-	f := &Front{Parallel: len(points), Exec: func(ctx context.Context, cfg Config) (*swarm.Stats, string, error) {
+	f := &Front{Parallel: len(points), Exec: func(ctx context.Context, cfg Config) ([]byte, string, error) {
 		if cfg.Point == points[2] {
 			// Fail only once the other points are in flight, so they can
 			// only end as ripples of this failure.
@@ -91,7 +100,7 @@ func TestFanOutReportsRootCause(t *testing.T) {
 		<-ctx.Done()
 		return nil, "", ctx.Err()
 	}}
-	_, err := f.fanOut(context.Background(), points, bench.Tiny, 7, nil)
+	_, err := f.fanOut(context.Background(), configs(points), nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("fan-out reported %v, want the root cause %v", err, boom)
 	}
@@ -105,14 +114,14 @@ func TestFanOutEachErrorCancels(t *testing.T) {
 		{Name: "des", Kind: swarm.Random, Cores: 1},
 		{Name: "des", Kind: swarm.Random, Cores: 4},
 	}
-	f := &Front{Parallel: 1, Exec: func(ctx context.Context, cfg Config) (*swarm.Stats, string, error) {
+	f := &Front{Parallel: 1, Exec: func(ctx context.Context, cfg Config) ([]byte, string, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, "", err
 		}
-		return &swarm.Stats{}, "", nil
+		return []byte("{}"), "", nil
 	}}
 	calls := 0
-	_, err := f.fanOut(context.Background(), points, bench.Tiny, 7, func(int, *swarm.Stats) error {
+	_, err := f.fanOut(context.Background(), configs(points), func(int, []byte) error {
 		calls++
 		return cut
 	})

@@ -6,9 +6,10 @@
 // point executor, which routes each point to one of a fleet of swarmd
 // replicas through a pluggable balancer (adaptive pheromone scoring,
 // power-of-two-choices, or round-robin) and executes it with a per-point
-// timeout and bounded retry-on-retryable against a different replica — so
-// gateway output is byte-identical to a single swarmd's for the same
-// request.
+// timeout and bounded retry-on-retryable against a different replica. A
+// replica's answer is relayed as the bytes it sent, and only once it checks
+// out as the canonical record of the point asked for — so gateway output
+// is byte-identical to a single swarmd's for the same request.
 //
 // Health is maintained two ways: a background prober polls every
 // replica's /healthz, and in-band outcomes adjust both the health flag
@@ -27,7 +28,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"swarmhints/internal/cliutil"
 	"swarmhints/internal/fault"
+	"swarmhints/internal/front"
 	"swarmhints/internal/metrics"
 	"swarmhints/internal/obs"
 	"swarmhints/swarm/api"
@@ -325,17 +328,24 @@ func (g *Gateway) pick(exclude int) int {
 	return g.bal.Pick(cands)
 }
 
-// runPoint routes one point: pick a replica, execute the (possibly hedged)
-// attempt, and on a retryable failure back off with full jitter and try
-// again against a different replica, up to the retry bound. It returns the
-// replica that served the point alongside the record.
-func (g *Gateway) runPoint(ctx context.Context, rr api.RunRequest) (metrics.Record, string, *api.Error) {
+// runPoint routes one point as one canonical /v1/run — scale and seed
+// explicit, the scheduler in its parseable spelling: pick a replica,
+// execute the (possibly hedged) attempt, and on a retryable failure back
+// off with full jitter and try again against a different replica, up to
+// the retry bound. It returns the replica that served the point alongside
+// its body.
+func (g *Gateway) runPoint(ctx context.Context, cfg front.Config) ([]byte, string, *api.Error) {
+	p := cfg.Point
+	rr := api.Point{
+		Bench: p.Name, Sched: cliutil.SchedFlag(p.Kind),
+		Cores: p.Cores, Profile: p.Profile,
+	}.Run(cfg.Scale.String(), cfg.Seed)
 	attempts := g.opt.Retries + 1
 	var lastErr *api.Error
 	last := -1
 	for a := 0; a < attempts; a++ {
 		if err := ctx.Err(); err != nil {
-			return metrics.Record{}, "", api.Errorf(api.CodeShuttingDown, "%v", err)
+			return nil, "", api.Errorf(api.CodeShuttingDown, "%v", err)
 		}
 		if a > 0 {
 			if d := g.backoffDelay(a); d > 0 {
@@ -343,21 +353,21 @@ func (g *Gateway) runPoint(ctx context.Context, rr api.RunRequest) (metrics.Reco
 				select {
 				case <-ctx.Done():
 					t.Stop()
-					return metrics.Record{}, "", api.Errorf(api.CodeShuttingDown, "%v", ctx.Err())
+					return nil, "", api.Errorf(api.CodeShuttingDown, "%v", ctx.Err())
 				case <-t.C:
 				}
 			}
 		}
 		i := g.pick(last)
-		rec, idx, ae := g.attempt(ctx, rr, i, a > 0)
+		body, idx, ae := g.attempt(ctx, cfg, rr, i, a > 0)
 		if ae == nil {
-			return rec, g.replicas[idx].url, nil
+			return body, g.replicas[idx].url, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			// The caller's own context died mid-attempt: the attempt told
 			// us nothing about the replica (it was observed as Canceled,
 			// not Failure) — report the cancellation.
-			return metrics.Record{}, "", api.Errorf(api.CodeShuttingDown, "%v", cerr)
+			return nil, "", api.Errorf(api.CodeShuttingDown, "%v", cerr)
 		}
 		if !ae.Retryable {
 			// Deterministic failure: every replica would answer the same.
@@ -365,14 +375,14 @@ func (g *Gateway) runPoint(ctx context.Context, rr api.RunRequest) (metrics.Reco
 			if idx >= 0 {
 				url = g.replicas[idx].url
 			}
-			return metrics.Record{}, url, ae
+			return nil, url, ae
 		}
 		lastErr = ae
 		if idx >= 0 {
 			last = idx
 		}
 	}
-	return metrics.Record{}, "", lastErr
+	return nil, "", lastErr
 }
 
 // attempt executes one routing attempt of a point against the primary
@@ -381,17 +391,20 @@ func (g *Gateway) runPoint(ctx context.Context, rr api.RunRequest) (metrics.Reco
 // settles all scoring for its replica; the loser is canceled and observed
 // as OutcomeCanceled — no score movement, no failure counter, no breaker
 // or health verdict — because losing a race says nothing about a replica's
-// health. It returns the winning record and replica index, or the first
+// health. A replica's body counts as a success only when front.CheckRun
+// finds it the canonical record of cfg; anything else is a malformed answer
+// from a reachable instance — retryable elsewhere, without a health
+// demotion. It returns the winning body and replica index, or the first
 // real failure (and its replica index, -1 if none is attributable).
-func (g *Gateway) attempt(ctx context.Context, rr api.RunRequest, primary int, retry bool) (metrics.Record, int, *api.Error) {
+func (g *Gateway) attempt(ctx context.Context, cfg front.Config, rr api.RunRequest, primary int, retry bool) ([]byte, int, *api.Error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels the loser the moment the winner returns
 
 	type outcome struct {
-		idx int
-		rec metrics.Record
-		err *api.Error
-		won bool
+		idx  int
+		body []byte
+		err  *api.Error
+		won  bool
 	}
 	// Buffered for both launches: a loser settling after runPoint moved on
 	// must never block its goroutine forever.
@@ -416,7 +429,7 @@ func (g *Gateway) attempt(ctx context.Context, rr api.RunRequest, primary int, r
 				cctx, ccancel = context.WithTimeout(actx, g.opt.PointTimeout)
 			}
 			defer ccancel()
-			// The attempt span carries the trace to the replica: client.Run
+			// The attempt span carries the trace to the replica: client.RunBody
 			// propagates it in the X-Swarm-Trace header, so the replica's
 			// server-side spans land in the same trace with this span as
 			// parent — retries and hedges are distinguishable by attribute.
@@ -435,7 +448,7 @@ func (g *Gateway) attempt(ctx context.Context, rr api.RunRequest, primary int, r
 				h.Observe(lat)
 			}
 			start := time.Now()
-			var rs *metrics.ResultSet
+			var body []byte
 			var err error
 			if f, ok := g.siteAttempt.Fire(); ok {
 				if err = f.Sleep(cctx); err == nil {
@@ -443,20 +456,17 @@ func (g *Gateway) attempt(ctx context.Context, rr api.RunRequest, primary int, r
 				}
 			}
 			if err == nil {
-				rs, err = r.client.Run(cctx, rr)
+				body, err = r.client.RunBody(cctx, rr)
 			}
 			lat := time.Since(start)
-			if err == nil && len(rs.Records) != 1 {
-				// Guard the index below even though the client also rejects
-				// wrong-cardinality responses: a 200 with zero records is a
-				// malformed replica answer, never a reason to panic the
-				// sweep goroutine. Instance-bound, so retry against a
-				// different replica; the replica is reachable, so no health
-				// demotion.
-				err = &api.Error{
-					Code:      api.CodeInternal,
-					Message:   fmt.Sprintf("replica returned %d records, want 1", len(rs.Records)),
-					Retryable: true,
+			if err == nil {
+				if cerr := front.CheckRun(cfg, body); cerr != nil {
+					// A 200 that is not this point's record — another point's
+					// labels, a wrong schema, a cut or padded body — must never
+					// be relayed. It is instance-bound, so retry against a
+					// different replica; the replica is reachable, so no
+					// health demotion.
+					err = &api.Error{Code: api.CodeInternal, Message: "replica " + cerr.Error(), Retryable: true}
 				}
 			}
 			switch {
@@ -478,7 +488,7 @@ func (g *Gateway) attempt(ctx context.Context, rr api.RunRequest, primary int, r
 					default:
 						finish(attemptOK, lat, g.histOK)
 					}
-					results <- outcome{idx: idx, rec: rs.Records[0], won: true}
+					results <- outcome{idx: idx, body: body, won: true}
 					return
 				}
 				// Both raced legs succeeded; the sibling won. Identical
@@ -538,7 +548,7 @@ func (g *Gateway) attempt(ctx context.Context, rr api.RunRequest, primary int, r
 		case o := <-results:
 			pending--
 			if o.won {
-				return o.rec, o.idx, nil
+				return o.body, o.idx, nil
 			}
 			if o.err != nil && firstErr == nil {
 				firstErr, errIdx = o.err, o.idx
@@ -548,7 +558,7 @@ func (g *Gateway) attempt(ctx context.Context, rr api.RunRequest, primary int, r
 	if firstErr == nil { // unreachable: a non-winner always carries an error
 		firstErr = api.Errorf(api.CodeInternal, "attempt settled without an outcome")
 	}
-	return metrics.Record{}, errIdx, firstErr
+	return nil, errIdx, firstErr
 }
 
 // Counters is a point-in-time snapshot of the gateway's operational

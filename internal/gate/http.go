@@ -7,12 +7,10 @@ import (
 	"net/http"
 	"time"
 
-	"swarmhints/internal/cliutil"
 	"swarmhints/internal/fault"
 	"swarmhints/internal/front"
 	"swarmhints/internal/metrics"
 	"swarmhints/internal/obs"
-	"swarmhints/swarm"
 	"swarmhints/swarm/api"
 )
 
@@ -49,22 +47,16 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// exec is the front end's point executor: route the point to a replica as
-// one canonical /v1/run — scale and seed explicit, the scheduler in its
-// parseable spelling — and restore the replica's record into statistics,
-// exactly as a store hit restores a persisted one. The serving replica's
-// URL is the provenance.
-func (g *Gateway) exec(ctx context.Context, cfg front.Config) (*swarm.Stats, string, error) {
-	p := cfg.Point
-	rr := api.Point{
-		Bench: p.Name, Sched: cliutil.SchedFlag(p.Kind),
-		Cores: p.Cores, Profile: p.Profile,
-	}.Run(cfg.Scale.String(), cfg.Seed)
-	rec, url, aerr := g.runPoint(ctx, rr)
+// exec is the front end's point executor: route the point to a replica
+// and relay the replica's body, which the attempt checked is the canonical
+// record of exactly this point. The serving replica's URL is the
+// provenance.
+func (g *Gateway) exec(ctx context.Context, cfg front.Config) ([]byte, string, error) {
+	body, url, aerr := g.runPoint(ctx, cfg)
 	if aerr != nil {
 		return nil, "", aerr
 	}
-	return swarm.StatsFromSnapshot(rec.Snapshot), url, nil
+	return body, url, nil
 }
 
 // proxy runs one whole-request call against a replica, re-routing

@@ -6,24 +6,37 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"swarmhints/internal/bench"
+	"swarmhints/internal/exp"
+	"swarmhints/internal/front"
 	"swarmhints/internal/service"
+	"swarmhints/swarm"
 	"swarmhints/swarm/api"
 )
 
 // emptyRecordReplica answers every /v1/run with a 200 whose result set
 // carries zero records — the malformed-but-reachable replica of the
-// rs.Records[0] regression. Its /healthz is green, so only in-band
-// outcomes can (wrongly) change its standing.
+// rs.Records[0] regression.
 func emptyRecordReplica(t *testing.T) *httptest.Server {
+	t.Helper()
+	return runAnswerReplica(t, func(w http.ResponseWriter) {
+		_, _ = w.Write([]byte(`{"schema":"swarmhints.metrics.v1","records":[]}`))
+	})
+}
+
+// runAnswerReplica answers every /v1/run with a 200 written by answer; its
+// /healthz is green, so only in-band outcomes can change its standing.
+func runAnswerReplica(t *testing.T, answer func(w http.ResponseWriter)) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/run" {
 			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write([]byte(`{"schema":"swarmhints.metrics.v1","records":[]}`))
+			answer(w)
 			return
 		}
 		w.WriteHeader(http.StatusOK)
@@ -77,6 +90,114 @@ func TestGatewayEmptyReplicaResponse(t *testing.T) {
 	}
 }
 
+// checkReroutedRun runs body through a round-robin gateway over bad then a
+// well-behaved replica: the point must come back as exactly the single
+// swarmd bytes want, served by the good replica, with the bad attempt
+// counted as failed and the reachable bad replica still healthy.
+func checkReroutedRun(t *testing.T, bad *httptest.Server, body string, want []byte) {
+	t.Helper()
+	good := startReplica(t, "")
+	g, ts := startGateway(t, BalancerRoundRobin, bad.URL, good.URL)
+	resp, got := post(t, ts.URL, "/v1/run", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run with a misbehaving replica in the fleet: %d %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("re-routed run bytes differ from single swarmd:\n%s", got)
+	}
+	if rep := resp.Header.Get("X-Swarmgate-Replica"); rep != good.URL {
+		t.Errorf("point served by %q, want the well-behaved replica", rep)
+	}
+	c := g.Counters()
+	if c.Failed[bad.URL] == 0 {
+		t.Error("misbehaving answer not counted as a failed attempt")
+	}
+	if !c.Healthy[bad.URL] {
+		t.Error("reachable replica demoted for an instance-bound malformed answer")
+	}
+}
+
+// TestGatewayRejectsMislabeledRecord: a replica answering des/random/1
+// with the well-formed des/random/4 record must not have those 4-core
+// statistics relayed under the 1-core labels — the attempt fails, and the
+// point re-routes to a replica that answers the question asked.
+func TestGatewayRejectsMislabeledRecord(t *testing.T) {
+	single := startReplica(t, "")
+	body := `{"bench":"des","sched":"random","cores":1,"scale":"tiny"}`
+	resp, want := post(t, single.URL, "/v1/run", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("single run status %d: %s", resp.StatusCode, want)
+	}
+	resp, four := post(t, single.URL, "/v1/run", `{"bench":"des","sched":"random","cores":4,"scale":"tiny"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("single run status %d: %s", resp.StatusCode, four)
+	}
+	bad := runAnswerReplica(t, func(w http.ResponseWriter) { _, _ = w.Write(four) })
+	checkReroutedRun(t, bad, body, want)
+}
+
+// TestGatewayRejectsMalformedRecords: well-framed but malformed answers —
+// a cut stats object, bytes after the closing frame, a v2 stamp on a
+// single-seed run, a body over the size bound — each fail their attempt
+// and re-route without demoting the replica; the oversized body is
+// abandoned at the bound, not read in full.
+func TestGatewayRejectsMalformedRecords(t *testing.T) {
+	single := startReplica(t, "")
+	body := `{"bench":"des","sched":"random","cores":1,"scale":"tiny"}`
+	resp, want := post(t, single.URL, "/v1/run", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("single run status %d: %s", resp.StatusCode, want)
+	}
+	const suffix = "\n    }\n  ]\n}\n"
+	start := bytes.Index(want, []byte(`"stats": `)) + len(`"stats": `)
+	if start < len(`"stats": `) || !bytes.HasSuffix(want, []byte(suffix)) {
+		t.Fatalf("unexpected run body layout:\n%s", want)
+	}
+	stats := want[start : len(want)-len(suffix)]
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for name, bad := range map[string][]byte{
+		"truncated stats": cat(want[:start], stats[:len(stats)/2], []byte(suffix)),
+		"trailing bytes":  cat(want, []byte(`{"stats":{}}`+"\n")),
+		"v2 schema":       bytes.Replace(want, []byte("swarmhints.metrics.v1"), []byte("swarmhints.metrics.v2"), 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			checkReroutedRun(t, runAnswerReplica(t, func(w http.ResponseWriter) { _, _ = w.Write(bad) }), body, want)
+		})
+	}
+	t.Run("oversized", func(t *testing.T) {
+		// Stream a never-ending stats object (no Content-Length) until the
+		// gateway hangs up, counting what it accepted.
+		const limit = 8 * api.MaxRecordBytes
+		var written atomic.Int64
+		bad := runAnswerReplica(t, func(w http.ResponseWriter) {
+			chunk := bytes.Repeat([]byte(" "), 64<<10)
+			n, _ := w.Write(want[:start])
+			written.Add(int64(n))
+			for written.Load() < limit {
+				n, err := w.Write(chunk)
+				written.Add(int64(n))
+				if err != nil {
+					return
+				}
+			}
+		})
+		checkReroutedRun(t, bad, body, want)
+		bad.Close() // waits for the handler to finish writing
+		if n := written.Load(); n >= limit/2 {
+			t.Errorf("replica wrote %d bytes before the gateway gave up, want well under %d", n, limit/2)
+		}
+	})
+	t.Run("declared oversized", func(t *testing.T) {
+		// A Content-Length over the bound is refused before any body byte
+		// is read.
+		bad := runAnswerReplica(t, func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(api.MaxRecordBytes+1))
+			_, _ = w.Write(want[:start])
+		})
+		checkReroutedRun(t, bad, body, want)
+	})
+}
+
 // TestGatewayCanceledRequestKeepsScores: a client disconnect mid-attempt
 // is not evidence about the replica. The attempt must not count as a
 // replica failure, must not decay the balancer score, and must not demote
@@ -112,8 +233,8 @@ func TestGatewayCanceledRequestKeepsScores(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	rr := api.RunRequest{Bench: "des", Sched: "random", Cores: 1, Scale: "tiny"}
-	_, _, aerr := g.runPoint(ctx, rr)
+	cfg := front.Config{Scale: bench.Tiny, Seed: 7, Point: exp.Point{Name: "des", Kind: swarm.Random, Cores: 1}}
+	_, _, aerr := g.runPoint(ctx, cfg)
 	if aerr == nil {
 		t.Fatal("canceled point reported success")
 	}
@@ -141,11 +262,11 @@ func TestGatewayCanceledRequestKeepsScores(t *testing.T) {
 	// point through the same balancer still routes and completes. (Under
 	// p2c a leaked outstanding slot would skew every later pick.)
 	recovered.Store(true)
-	rec, _, aerr2 := g.runPoint(context.Background(), rr)
+	body, _, aerr2 := g.runPoint(context.Background(), cfg)
 	if aerr2 != nil {
 		t.Fatalf("follow-up point after cancellation: %v", aerr2)
 	}
-	if len(rec.Labels) == 0 {
-		t.Error("follow-up point returned an empty record")
+	if err := front.CheckRun(cfg, body); err != nil {
+		t.Errorf("follow-up point returned a malformed record: %v", err)
 	}
 }

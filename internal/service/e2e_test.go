@@ -16,6 +16,7 @@ import (
 
 	"swarmhints/internal/bench"
 	"swarmhints/internal/exp"
+	"swarmhints/internal/front"
 	"swarmhints/internal/metrics"
 	"swarmhints/internal/store"
 	"swarmhints/swarm"
@@ -390,6 +391,30 @@ func TestStoreTierSourceAndWriteThrough(t *testing.T) {
 	a, b, c := enc(st1), enc(st2), enc(st3)
 	if !bytes.Equal(a, b) || !bytes.Equal(b, c) {
 		t.Error("compute/store/cache tiers export different bytes")
+	}
+}
+
+// TestStoreNonSnapshotPayloadRecomputes: a store record whose checksum
+// holds but whose payload is not a snapshot is a corrupt miss for the
+// service too — the point is computed, not served from the bad record.
+func TestStoreNonSnapshotPayloadRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	cfg := tinyConfig("des", 1)
+	st := openStore(t, dir)
+	if err := st.Put(cfg.Key(), []byte(`{"cycles":"x"}`)); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Options{Workers: 1, Validate: true, Store: st})
+	defer svc.Close()
+	body, src, err := svc.Body(context.Background(), cfg)
+	if err != nil || src != SourceRun {
+		t.Fatalf("lookup over a non-snapshot record: src=%v err=%v, want run", src, err)
+	}
+	if err := front.CheckRun(cfg, body); err != nil {
+		t.Errorf("recomputed body is malformed: %v", err)
+	}
+	if c := svc.Counters(); c.Store.Corrupt != 1 || c.Store.Hits != 0 || sumRuns(c) != 1 {
+		t.Errorf("store corrupt=%d hits=%d runs=%d, want 1/0/1", c.Store.Corrupt, c.Store.Hits, sumRuns(c))
 	}
 }
 

@@ -50,9 +50,9 @@ func (s *Service) Handler() http.Handler {
 
 // exec is the front end's point executor: the cached, coalesced,
 // store-tiered fleet path, with the tier that answered as provenance.
-func (s *Service) exec(ctx context.Context, cfg Config) (*swarm.Stats, string, error) {
-	st, src, err := s.Stats(ctx, cfg)
-	return st, string(src), err
+func (s *Service) exec(ctx context.Context, cfg Config) ([]byte, string, error) {
+	body, src, err := s.Body(ctx, cfg)
+	return body, string(src), err
 }
 
 // runFaults fires the per-run-request chaos hooks: swarmd.run.slow delays

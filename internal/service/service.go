@@ -9,8 +9,9 @@
 // result, so the service can cache and coalesce freely — every response is
 // byte-identical to what cmd/experiments -format json emits for the same
 // configuration, no matter the worker count, cache state, or request
-// interleaving. Responses are assembled through exp.ExportSet, the same
-// encoder the CLIs use, which makes that identity hold by construction.
+// interleaving. Each result is encoded once, as the canonical /v1/run body
+// front.Body writes (exactly the CLIs' exp.ExportSet encoding), and every
+// tier — the in-flight map, the LRU, the response — carries those bytes.
 package service
 
 import (
@@ -102,15 +103,15 @@ const (
 // caller's disconnect never fails the other callers coalesced onto it,
 // while a flight nobody wants anymore stops consuming the fleet.
 type flight struct {
-	done   chan struct{} // closed when st/err are final
+	done   chan struct{} // closed when body/err are final
 	refs   int           // interested requests; guarded by Service.mu
 	cancel context.CancelFunc
-	st     *swarm.Stats
+	body   []byte
 	err    error
 }
 
 // Counters is a point-in-time snapshot of the service's operational
-// counters. Hits+Store.Hits+Misses+Coalesced equals the number of Stats
+// counters. Hits+Store.Hits+Misses+Coalesced equals the number of Body
 // calls served; Misses counts the calls that led a new simulation attempt
 // (a miss in every cache tier with no flight to join). Attempts that
 // completed appear in RunsByBench — a miss whose caller disconnected while
@@ -249,24 +250,27 @@ func (s *Service) attachLocked(f *flight, ctx context.Context, leader bool) (rel
 	}, true
 }
 
-// Stats returns the statistics for one configuration: from the LRU cache
-// when resident, by attaching to an identical in-flight run when one
-// exists, from the persistent store when configured and warm, and by
-// executing the simulation on the worker fleet otherwise. Exactly one of
+// Body returns the canonical /v1/run body (front.Body) for one
+// configuration: from the LRU cache when resident, by attaching to an
+// identical in-flight run when one exists, from the persistent store when
+// configured and warm, and by executing the simulation on the worker fleet
+// otherwise. Exactly one of
 // the four happens per call, and exactly one simulation executes no matter
 // how many callers race on the same configuration — the store probe runs
 // under the same in-flight coalescing as a compute, so racing callers share
-// one disk read too.
-func (s *Service) Stats(ctx context.Context, cfg Config) (*swarm.Stats, Source, error) {
+// one disk read too. A result is encoded once, when it enters the service —
+// after its run, or from the store's decoded snapshot — and every later
+// hit writes those bytes as they are.
+func (s *Service) Body(ctx context.Context, cfg Config) ([]byte, Source, error) {
 	key := cfg.Key()
 	for {
 		ct := obs.StartTimer()
 		s.mu.Lock()
-		if st, ok := s.cache.get(key); ok {
+		if body, ok := s.cache.get(key); ok {
 			s.mu.Unlock()
 			ct.Observe(s.histCache)
 			s.hits.Add(1)
-			return st, SourceCache, nil
+			return body, SourceCache, nil
 		}
 		f, ok := s.flights[key]
 		if !ok {
@@ -292,7 +296,7 @@ func (s *Service) Stats(ctx context.Context, cfg Config) (*swarm.Stats, Source, 
 		select {
 		case <-f.done:
 			wt.Observe(s.histCoalesce)
-			return f.st, SourceCoalesced, f.err
+			return f.body, SourceCoalesced, f.err
 		case <-ctx.Done():
 			wt.Observe(s.histCoalesce)
 			return nil, SourceCoalesced, ctx.Err()
@@ -315,7 +319,7 @@ func (s *Service) Stats(ctx context.Context, cfg Config) (*swarm.Stats, Source, 
 	if s.opt.Store != nil {
 		st := obs.StartTimer()
 		_, ssp := obs.StartSpan(fctx, "swarmd.store.probe")
-		got, ok := s.opt.Store.GetStats(key)
+		sn, ok := s.opt.Store.GetSnapshot(key)
 		if ssp != nil {
 			if ok {
 				ssp.SetAttr("hit", "true")
@@ -326,7 +330,8 @@ func (s *Service) Stats(ctx context.Context, cfg Config) (*swarm.Stats, Source, 
 		}
 		st.Observe(s.histStore)
 		if ok {
-			f.st, src = got, SourceStore
+			f.body, f.err = front.Body(cfg, sn)
+			src = SourceStore
 		}
 	}
 	if src == SourceRun {
@@ -334,21 +339,25 @@ func (s *Service) Stats(ctx context.Context, cfg Config) (*swarm.Stats, Source, 
 		et := obs.StartTimer()
 		ectx, esp := obs.StartSpan(fctx, "swarmd.execute")
 		esp.SetAttr("key", key)
-		f.st, f.err = s.execute(ectx, cfg)
+		st, err := s.execute(ectx, cfg)
 		esp.End()
 		et.Observe(s.histExecute)
-		if f.err == nil && s.opt.Store != nil {
+		if err == nil {
+			f.body, err = front.Body(cfg, st.Snapshot())
+		}
+		if err == nil && s.opt.Store != nil {
 			// Write-through, best effort: an unwritable store degrades to a
 			// read tier (its write-error counter records the failures), it
 			// never fails a request that already has its result.
-			_ = s.opt.Store.PutStats(key, f.st)
+			_ = s.opt.Store.PutStats(key, st)
 		}
+		f.err = err
 	}
 
 	s.mu.Lock()
 	delete(s.flights, key)
 	if f.err == nil {
-		s.cache.add(key, f.st)
+		s.cache.add(key, f.body)
 		if src == SourceRun {
 			s.runs[cfg.Point.Name]++
 		}
@@ -356,7 +365,22 @@ func (s *Service) Stats(ctx context.Context, cfg Config) (*swarm.Stats, Source, 
 	s.mu.Unlock()
 	close(f.done)
 	fcancel() // flight finished; release its context resources
-	return f.st, src, f.err
+	return f.body, src, f.err
+}
+
+// Stats returns the statistics for one configuration through the same
+// tiers as Body, decoded from its body, for callers that compute on the
+// statistics themselves (the experiment runner).
+func (s *Service) Stats(ctx context.Context, cfg Config) (*swarm.Stats, Source, error) {
+	body, src, err := s.Body(ctx, cfg)
+	if err != nil {
+		return nil, src, err
+	}
+	sn, err := front.DecodeBody(cfg, body)
+	if err != nil {
+		return nil, src, err
+	}
+	return swarm.StatsFromSnapshot(sn), src, nil
 }
 
 // AcquireSlot blocks until a worker-fleet slot is free (or ctx dies) and

@@ -38,13 +38,13 @@ func TestConfigKeyUsesCanonicalPointKey(t *testing.T) {
 
 func TestLRUEvictsOldest(t *testing.T) {
 	c := newLRU(2)
-	st := func(n uint64) *swarm.Stats { return &swarm.Stats{Cycles: n} }
-	c.add("a", st(1))
-	c.add("b", st(2))
+	body := func(n byte) []byte { return []byte{n} }
+	c.add("a", body(1))
+	c.add("b", body(2))
 	if _, ok := c.get("a"); !ok { // refresh a: b becomes the eviction victim
 		t.Fatal("a missing")
 	}
-	c.add("c", st(3))
+	c.add("c", body(3))
 	if _, ok := c.get("b"); ok {
 		t.Fatal("b should have been evicted (least recently used)")
 	}
@@ -60,9 +60,9 @@ func TestLRUEvictsOldest(t *testing.T) {
 
 func TestLRURefreshDoesNotGrow(t *testing.T) {
 	c := newLRU(2)
-	st := &swarm.Stats{Cycles: 9}
-	c.add("a", st)
-	c.add("a", st)
+	body := []byte("{}")
+	c.add("a", body)
+	c.add("a", body)
 	if c.len() != 1 {
 		t.Fatalf("duplicate add grew the cache to %d entries", c.len())
 	}
@@ -144,29 +144,30 @@ func TestSingleflightUnderRace(t *testing.T) {
 }
 
 // TestStatsWarmCacheSkipsExecution pins the caching behavior at the API
-// level: a repeat of a completed configuration is a pure cache hit.
+// level: a repeat of a completed configuration is a pure cache hit, served
+// as the very bytes the run encoded.
 func TestStatsWarmCacheSkipsExecution(t *testing.T) {
 	svc := New(Options{Workers: 2, Validate: true})
 	defer svc.Close()
 	ctx := context.Background()
 	cfg := tinyConfig("bfs", 1)
 
-	st1, src1, err := svc.Stats(ctx, cfg)
+	b1, src1, err := svc.Body(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if src1 != SourceRun {
 		t.Fatalf("cold call source = %v, want run", src1)
 	}
-	st2, src2, err := svc.Stats(ctx, cfg)
+	b2, src2, err := svc.Body(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if src2 != SourceCache {
 		t.Fatalf("warm call source = %v, want cache", src2)
 	}
-	if st1 != st2 {
-		t.Fatal("warm call returned a different stats object than the cached run")
+	if len(b1) == 0 || &b1[0] != &b2[0] {
+		t.Fatal("warm call returned different bytes than the cached run's body")
 	}
 	c := svc.Counters()
 	if c.Hits != 1 || c.Misses != 1 || c.Cached != 1 {

@@ -626,25 +626,33 @@ func (s *Store) writeFile(path string, rec []byte) error {
 	return nil
 }
 
-// GetStats returns the stored result for key decoded back into first-class
-// run statistics. The rebuilt Stats re-snapshot to byte-identical export
-// bytes (see swarm.StatsFromSnapshot), which is what keeps store-served
-// responses indistinguishable from computed ones.
-func (s *Store) GetStats(key string) (*swarm.Stats, bool) {
+// GetSnapshot returns the stored result for key decoded into its
+// machine-readable snapshot. A record whose checksum holds but whose
+// payload does not decode as a snapshot counts as a corrupt miss.
+func (s *Store) GetSnapshot(key string) (*metrics.Snapshot, bool) {
 	payload, err := s.read(key)
-	var st *swarm.Stats
+	var sn metrics.Snapshot
 	if err == nil {
-		var sn metrics.Snapshot
 		if uerr := json.Unmarshal(payload, &sn); uerr != nil {
 			err = fmt.Errorf("record payload: %w", uerr)
-		} else {
-			st = swarm.StatsFromSnapshot(&sn)
 		}
 	}
 	if _, ok := s.finish(key, payload, err); !ok {
 		return nil, false
 	}
-	return st, true
+	return &sn, true
+}
+
+// GetStats returns the stored result for key decoded back into first-class
+// run statistics. The rebuilt Stats re-snapshot to byte-identical export
+// bytes (see swarm.StatsFromSnapshot), which is what keeps store-served
+// results indistinguishable from computed ones.
+func (s *Store) GetStats(key string) (*swarm.Stats, bool) {
+	sn, ok := s.GetSnapshot(key)
+	if !ok {
+		return nil, false
+	}
+	return swarm.StatsFromSnapshot(sn), true
 }
 
 // PutStats writes a run's result through as its canonical metrics.Snapshot

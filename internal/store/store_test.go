@@ -99,6 +99,32 @@ func TestStatsRoundTripBytesIdentical(t *testing.T) {
 	}
 }
 
+// TestNonSnapshotPayloadIsCorruptMiss: a record whose checksum holds but
+// whose payload does not decode as a snapshot is not a result — the
+// snapshot reads serve it as a miss and count it corrupt, while the bytes
+// layer still returns what was written.
+func TestNonSnapshotPayloadIsCorruptMiss(t *testing.T) {
+	s := open(t, t.TempDir(), 0)
+	key := exp.ConfigKey(bench.Tiny, 7, exp.Point{Name: "des", Kind: swarm.Random, Cores: 1})
+	payload := []byte(`{"cycles":"x"}`)
+	if err := s.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	if sn, ok := s.GetSnapshot(key); ok {
+		t.Fatalf("non-snapshot payload served as a snapshot: %+v", sn)
+	}
+	if _, ok := s.GetStats(key); ok {
+		t.Fatal("non-snapshot payload served as stats")
+	}
+	c := s.Counters()
+	if c.Hits != 0 || c.Misses != 2 || c.Corrupt != 2 {
+		t.Fatalf("counters after two undecodable reads: hits=%d misses=%d corrupt=%d, want 0/2/2", c.Hits, c.Misses, c.Corrupt)
+	}
+	if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("bytes layer: got %q ok=%v, want the checksummed payload", got, ok)
+	}
+}
+
 // corrupt damages the record file for key with fn and returns its path.
 func corrupt(t *testing.T, s *store.Store, key string, fn func([]byte) []byte) string {
 	t.Helper()

@@ -10,10 +10,11 @@
 // Responses reuse the stable swarmhints.metrics.v1 result schema
 // (internal/metrics: Snapshot, Record, ResultSet); this package adds only
 // the envelope around it. The contract is deliberately re-encodable: a
-// Record decoded from one server and re-marshaled by a proxy produces the
-// exact bytes the origin would have sent, which is what lets swarmgate
-// reassemble per-point responses into a stream byte-identical to a single
-// swarmd's.
+// Record decoded from one server and re-marshaled produces the exact bytes
+// the origin would have sent, and a record line is its /v1/run body's stats
+// object compacted (EncodeRawRecord) — which is what lets swarmgate relay
+// per-point bodies and reassemble them into a stream byte-identical to a
+// single swarmd's.
 package api
 
 import (
@@ -25,6 +26,10 @@ import (
 
 // MaxBodyBytes bounds request bodies; sweep grids are tiny JSON documents.
 const MaxBodyBytes = 1 << 20
+
+// MaxRecordBytes bounds one encoded record a client reads: a /v1/run
+// response body, or one NDJSON record line.
+const MaxRecordBytes = 16 << 20
 
 // Point is one simulation configuration in wire form: a benchmark run
 // under a scheduler at a core count, optionally with access profiling.

@@ -71,17 +71,40 @@ func (c *Client) post(ctx context.Context, path string, body any) (*http.Respons
 	return resp, nil
 }
 
-// Run executes one configuration via POST /v1/run and returns the
-// single-record result set exactly as the server encoded it.
-func (c *Client) Run(ctx context.Context, req RunRequest) (*metrics.ResultSet, error) {
+// RunBody executes one configuration via POST /v1/run and returns the
+// response body as the server wrote it, read under MaxRecordBytes. A body
+// over the bound is refused without reading the rest of it: a correct
+// server never sends one, so the failure is this instance's and retryable.
+func (c *Client) RunBody(ctx context.Context, req RunRequest) ([]byte, error) {
 	resp, err := c.post(ctx, "/v1/run", req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var rs metrics.ResultSet
-	if err := json.NewDecoder(resp.Body).Decode(&rs); err != nil {
+	tooLarge := &Error{Code: CodeInternal, Message: fmt.Sprintf("run response exceeds %d bytes", MaxRecordBytes), Retryable: true}
+	if resp.ContentLength > MaxRecordBytes {
+		return nil, tooLarge
+	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, MaxRecordBytes+1))
+	if err != nil {
 		// A response cut off mid-body is a transport failure, not a result.
+		return nil, &Error{Code: CodeUnavailable, Message: fmt.Sprintf("bad run response: %v", err), Retryable: true}
+	}
+	if len(b) > MaxRecordBytes {
+		return nil, tooLarge
+	}
+	return b, nil
+}
+
+// Run executes one configuration via POST /v1/run and returns the
+// single-record result set exactly as the server encoded it.
+func (c *Client) Run(ctx context.Context, req RunRequest) (*metrics.ResultSet, error) {
+	b, err := c.RunBody(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	var rs metrics.ResultSet
+	if err := json.Unmarshal(b, &rs); err != nil {
 		return nil, &Error{Code: CodeUnavailable, Message: fmt.Sprintf("bad run response: %v", err), Retryable: true}
 	}
 	if len(rs.Records) != 1 {

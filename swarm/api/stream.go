@@ -69,6 +69,25 @@ func EncodeRecord(rec metrics.Record) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
+// rawRecord is the wire shape of metrics.Record with the stats object
+// already encoded.
+type rawRecord struct {
+	Labels map[string]string `json:"labels"`
+	Stats  json.RawMessage   `json:"stats"`
+}
+
+// EncodeRawRecord encodes one record line from the record's labels and an
+// encoding of its stats object, newline included. The stats bytes are
+// compacted on the way, so any indentation of a snapshot's encoding yields
+// exactly the line EncodeRecord writes for the snapshot.
+func EncodeRawRecord(labels map[string]string, stats []byte) ([]byte, error) {
+	b, err := json.Marshal(rawRecord{Labels: labels, Stats: stats})
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
 // EncodeTrailer encodes the completion trailer for a stream of points
 // records, newline included.
 func EncodeTrailer(points int) ([]byte, error) {
@@ -102,7 +121,7 @@ type StreamDecoder struct {
 // NewStreamDecoder reads the header line from r.
 func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 64*1024), MaxRecordBytes)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, err
