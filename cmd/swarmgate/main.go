@@ -26,7 +26,9 @@
 //
 // The default balancer is "adaptive": pheromone-style scores, reinforced
 // by success latency and decayed multiplicatively on error/timeout, with
-// roulette-wheel routing proportional to score. Replicas should share a
+// each point routed by weighted rendezvous hashing of its configuration key
+// over the scores, so a point keeps one home replica whose LRU holds it.
+// Replicas should share a
 // -store directory so any replica can serve any previously computed point.
 //
 // SIGINT/SIGTERM starts a graceful shutdown: the listener closes,
@@ -67,7 +69,7 @@ func main() {
 		concurrency = flag.Int("concurrency", 0, "max points in flight per request (0 = 4 x replicas)")
 		probe       = flag.Duration("probe", time.Second, "background /healthz probe interval (negative = disabled; the interval is jittered +/-25%)")
 		probeTO     = flag.Duration("probe-timeout", 0, "per-probe timeout (0 = 2s)")
-		seed        = flag.Int64("seed", 1, "balancer PRNG seed (routing is reproducible for a fixed seed)")
+		seed        = flag.Int64("seed", 1, "routing seed: perturbs adaptive's point-key hash and seeds p2c's PRNG (routing is reproducible for a fixed seed)")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 		hedge       = flag.Bool("hedge", true, "hedge straggling points with a second attempt on another replica after the fleet's ~p95 latency")
 		brkThresh   = flag.Int("breaker-threshold", 0, "consecutive failures that open a replica's circuit breaker (0 = 5, negative = disabled)")

@@ -134,7 +134,7 @@ type Point struct {
 // sort order, and the service layer's shared result cache
 // (internal/service) all key on it.
 func (p Point) Key() string {
-	return fmt.Sprintf("%s/%v/%d/%v", p.Name, p.Kind, p.Cores, p.Profile)
+	return p.Name + "/" + p.Kind.String() + "/" + strconv.Itoa(p.Cores) + "/" + strconv.FormatBool(p.Profile)
 }
 
 // ConfigKey is the canonical fully-qualified configuration key: the
@@ -144,7 +144,7 @@ func (p Point) Key() string {
 // these bytes, which is what lets the CLIs, the experiment harness, and a
 // fleet of swarmd replicas reuse each other's results.
 func ConfigKey(scale bench.Scale, seed int64, p Point) string {
-	return fmt.Sprintf("%s/%d/%s", scale, seed, p.Key())
+	return scale.String() + "/" + strconv.FormatInt(seed, 10) + "/" + p.Key()
 }
 
 // MaxPointCycles is the watchdog bound every canonical configuration point

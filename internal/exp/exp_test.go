@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -205,5 +206,29 @@ func TestPrimeFailureIsDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(msgs[0], "no-such-bench") {
 		t.Errorf("error should name the first failing point, got %q", msgs[0])
+	}
+}
+
+// TestConfigKeyBytes pins the canonical key's bytes: every result tier and
+// the gateway's routing hash key on them, so they must read exactly as the
+// "%s/%d/%s/%v/%d/%v" format of (scale, seed, name, kind, cores, profile).
+func TestConfigKeyBytes(t *testing.T) {
+	if got, want := ConfigKey(bench.Tiny, 1, Point{Name: "des", Kind: swarm.Hints, Cores: 4}), "tiny/1/des/Hints/4/false"; got != want {
+		t.Fatalf("ConfigKey = %q, want %q", got, want)
+	}
+	for _, scale := range []bench.Scale{bench.Tiny, bench.Small, bench.Full} {
+		for _, seed := range []int64{1, 7, -3, 1 << 40} {
+			for _, kind := range []swarm.SchedKind{swarm.Random, swarm.Stealing, swarm.Hints, swarm.LBHints, swarm.LBIdleProxy} {
+				for _, cores := range []int{1, 16, 256} {
+					for _, profile := range []bool{false, true} {
+						p := Point{Name: "sssp", Kind: kind, Cores: cores, Profile: profile}
+						want := fmt.Sprintf("%s/%d/%s/%v/%d/%v", scale, seed, p.Name, kind, cores, profile)
+						if got := ConfigKey(scale, seed, p); got != want {
+							t.Fatalf("ConfigKey = %q, want %q", got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,9 +2,12 @@ package gate
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
+
+	"swarmhints/internal/hashutil"
 )
 
 // Outcome classifies one attempt for the balancer's learning signal.
@@ -26,8 +29,11 @@ const (
 // (whatever its outcome), which is what lets load-tracking balancers keep
 // an outstanding count.
 type Balancer interface {
-	// Pick chooses one replica index among candidates (never empty).
-	Pick(candidates []int) int
+	// Pick chooses one replica index among candidates (never empty) for
+	// the work whose routing hint is key: a hash of the point's canonical
+	// configuration key, so every attempt at one point carries the same
+	// key. Balancers may ignore it.
+	Pick(key uint64, candidates []int) int
 	// Observe reports the outcome of one attempt on replica i and its
 	// latency.
 	Observe(i int, latency time.Duration, o Outcome)
@@ -43,13 +49,13 @@ const (
 	BalancerRoundRobin = "roundrobin"
 )
 
-// NewBalancer builds the named balancer for n replicas. seed feeds the
-// randomized balancers' private PRNG, so a fleet's routing is reproducible
-// for a fixed seed and request sequence.
+// NewBalancer builds the named balancer for n replicas. seed feeds p2c's
+// private PRNG, so its routing is reproducible for a fixed seed and request
+// sequence; adaptive and roundrobin draw no random numbers.
 func NewBalancer(name string, n int, seed int64) (Balancer, error) {
 	switch name {
 	case "", BalancerAdaptive:
-		return newAdaptive(n, seed), nil
+		return newAdaptive(n), nil
 	case BalancerP2C:
 		return newP2C(n, seed), nil
 	case BalancerRoundRobin:
@@ -70,42 +76,56 @@ const (
 )
 
 // adaptive is SwarmRoute-style pheromone routing: each replica carries a
-// score (its pheromone trail), picks are roulette-wheel proportional to
-// score, successes reinforce toward the replica's speed relative to the
-// fleet-wide latency reference, and errors/timeouts decay the score
-// multiplicatively. The floor keeps a degraded replica visible enough to
-// re-earn traffic once it recovers (and the health prober re-admits it to
-// the candidate set).
+// score (its pheromone trail), successes reinforce toward the replica's
+// speed relative to the fleet-wide latency reference, and errors/timeouts
+// decay the score multiplicatively. The floor keeps a degraded replica
+// visible enough to re-earn traffic once it recovers (and the health
+// prober re-admits it to the candidate set).
+//
+// Picks are weighted rendezvous (highest-random-weight) hashing of the
+// routing key over the scores. A key therefore keeps landing on the same
+// replica while the scores hold steady — the fleet analog of running tasks
+// that touch the same data on the same tile — so each replica's result LRU
+// holds its own share of the working set instead of a copy of everyone's
+// hot points. Across keys, replica i still draws the share
+// score_i/Σscore, so slow or failing replicas shed traffic as before.
 type adaptive struct {
 	mu    sync.Mutex
-	rng   *rand.Rand
 	score []float64
 	ref   float64 // EWMA of success latency (seconds) across the fleet
 }
 
-func newAdaptive(n int, seed int64) *adaptive {
-	a := &adaptive{rng: rand.New(rand.NewSource(seed)), score: make([]float64, n)}
+func newAdaptive(n int) *adaptive {
+	a := &adaptive{score: make([]float64, n)}
 	for i := range a.score {
 		a.score[i] = scoreInit
 	}
 	return a
 }
 
-func (a *adaptive) Pick(candidates []int) int {
+// Pick gives each candidate c the weight -ln(u)/score[c], where
+// u = unitHash(key, c), and returns the lightest. -ln(u) is an Exp(1)
+// draw, so each weight is an Exp(score[c]) draw and candidate c is the
+// minimum with probability score[c]/Σscore. A candidate's weight does not
+// depend on the others, so dropping one moves only the keys it held.
+func (a *adaptive) Pick(key uint64, candidates []int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	total := 0.0
+	best, bestW := candidates[0], math.Inf(1)
 	for _, c := range candidates {
-		total += a.score[c]
-	}
-	x := a.rng.Float64() * total
-	for _, c := range candidates {
-		x -= a.score[c]
-		if x < 0 {
-			return c
+		if w := -math.Log(unitHash(key, c)) / a.score[c]; w < bestW {
+			best, bestW = c, w
 		}
 	}
-	return candidates[len(candidates)-1]
+	return best
+}
+
+// unitHash maps (key, replica) to a uniform value in the open interval
+// (0, 1): the top 53 bits of a mixed hash, offset by half a step so
+// neither end is reachable.
+func unitHash(key uint64, replica int) float64 {
+	h := hashutil.SplitMix64(key ^ hashutil.SplitMix64(uint64(replica)))
+	return (float64(h>>11) + 0.5) / (1 << 53)
 }
 
 func (a *adaptive) Observe(i int, latency time.Duration, o Outcome) {
@@ -157,7 +177,8 @@ func (a *adaptive) Scores() []float64 {
 
 // p2c is power-of-two-choices: sample two distinct candidates, send the
 // point to the one with fewer outstanding attempts (ties broken by EWMA
-// success latency). The classic measured baseline against adaptive.
+// success latency). The classic measured baseline against adaptive. It
+// ignores the routing key, so it gives no cache affinity.
 type p2c struct {
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -169,7 +190,7 @@ func newP2C(n int, seed int64) *p2c {
 	return &p2c{rng: rand.New(rand.NewSource(seed)), out: make([]int, n), lat: make([]float64, n)}
 }
 
-func (p *p2c) Pick(candidates []int) int {
+func (p *p2c) Pick(_ uint64, candidates []int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pick := candidates[0]
@@ -218,6 +239,7 @@ func (p *p2c) Scores() []float64 {
 }
 
 // roundRobin cycles through the candidate list — the no-signal baseline.
+// It ignores the routing key.
 type roundRobin struct {
 	mu   sync.Mutex
 	next int
@@ -225,7 +247,7 @@ type roundRobin struct {
 
 func newRoundRobin() *roundRobin { return &roundRobin{} }
 
-func (r *roundRobin) Pick(candidates []int) int {
+func (r *roundRobin) Pick(_ uint64, candidates []int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	pick := candidates[r.next%len(candidates)]

@@ -4,12 +4,13 @@
 // (internal/front), which decomposes sweep grids point-by-point and
 // reassembles the canonical-order response; the gateway supplies the
 // point executor, which routes each point to one of a fleet of swarmd
-// replicas through a pluggable balancer (adaptive pheromone scoring,
-// power-of-two-choices, or round-robin) and executes it with a per-point
-// timeout and bounded retry-on-retryable against a different replica. A
-// replica's answer is relayed as the bytes it sent, and only once it checks
-// out as the canonical record of the point asked for — so gateway output
-// is byte-identical to a single swarmd's for the same request.
+// replicas through a pluggable balancer (adaptive pheromone scoring keyed
+// by the point's configuration, power-of-two-choices, or round-robin) and
+// executes it with a per-point timeout and bounded retry-on-retryable
+// against a different replica. A replica's answer is relayed as the bytes
+// it sent, and only once it checks out as the canonical record of the
+// point asked for — so gateway output is byte-identical to a single
+// swarmd's for the same request.
 //
 // Health is maintained two ways: a background prober polls every
 // replica's /healthz, and in-band outcomes adjust both the health flag
@@ -31,6 +32,7 @@ import (
 	"swarmhints/internal/cliutil"
 	"swarmhints/internal/fault"
 	"swarmhints/internal/front"
+	"swarmhints/internal/hashutil"
 	"swarmhints/internal/metrics"
 	"swarmhints/internal/obs"
 	"swarmhints/swarm/api"
@@ -89,8 +91,9 @@ type Options struct {
 	// fleet's ~p95 latency (EWMA-estimated) is raced on a second replica;
 	// the first success wins and the loser is canceled without scoring.
 	Hedge bool
-	// Seed feeds the randomized balancers' PRNG and the jitter source
-	// (default 1).
+	// Seed perturbs the routing-key hash (so the adaptive balancer sends
+	// each point to a different home replica per seed), seeds p2c's PRNG,
+	// and seeds the jitter source (default 1).
 	Seed int64
 	// HTTPClient overrides the transport used for replica requests.
 	HTTPClient *http.Client
@@ -127,6 +130,12 @@ type Gateway struct {
 	replicas []*replica
 	bal      Balancer
 	lat      latencyEWMA // fleet-wide success latency, drives the hedge delay
+
+	// every lists all replica indexes and others[x] every index but x:
+	// pick's candidate sets when every eligible replica is healthy and
+	// admitted, shared so the common case builds no slice.
+	every  []int
+	others [][]int
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // jitter source (probe interval, retry backoff)
@@ -203,6 +212,16 @@ func New(opt Options) (*Gateway, error) {
 		}
 		r.healthy.Store(true) // optimistic: demoted by the first failed probe or attempt
 		g.replicas = append(g.replicas, r)
+		g.every = append(g.every, len(g.every))
+	}
+	for x := range g.replicas {
+		others := make([]int, 0, len(g.replicas)-1)
+		for _, i := range g.every {
+			if i != x {
+				others = append(others, i)
+			}
+		}
+		g.others = append(g.others, others)
 	}
 	if opt.ProbeInterval > 0 {
 		g.wg.Add(1)
@@ -290,12 +309,16 @@ func (g *Gateway) ProbeOnce(ctx context.Context) {
 	wg.Wait()
 }
 
-// pick chooses the replica for the next attempt: healthy replicas whose
-// circuit breaker admits traffic first, then any healthy replica, then
-// anyone — excluding the one that just failed whenever an alternative
-// exists, and degrading rather than refusing to route, so a wrongly-
-// drained (or fully tripped) fleet self-heals through in-band successes.
-func (g *Gateway) pick(exclude int) int {
+// pick chooses the replica for the next attempt of the work whose routing
+// hint is key: healthy replicas whose circuit breaker admits traffic first,
+// then any healthy replica, then anyone — excluding the one that just
+// failed whenever an alternative exists, and degrading rather than refusing
+// to route, so a wrongly-drained (or fully tripped) fleet self-heals
+// through in-band successes.
+func (g *Gateway) pick(key uint64, exclude int) int {
+	if cands := g.allAdmitted(exclude); cands != nil {
+		return g.bal.Pick(key, cands)
+	}
 	var admitted, healthy, all []int
 	for i, r := range g.replicas {
 		if i == exclude {
@@ -325,16 +348,52 @@ func (g *Gateway) pick(exclude int) int {
 	if len(cands) == 0 {
 		return exclude // single-replica fleet: no alternative exists
 	}
-	return g.bal.Pick(cands)
+	return g.bal.Pick(key, cands)
+}
+
+// allAdmitted returns the shared candidate set of every replica but
+// exclude when all of them are healthy and admitted by their breakers, and
+// nil when some are not (or none remain) and pick must build the set.
+func (g *Gateway) allAdmitted(exclude int) []int {
+	cands := g.every
+	if exclude >= 0 {
+		cands = g.others[exclude]
+	}
+	if len(cands) == 0 {
+		return nil
+	}
+	for _, i := range cands {
+		if r := g.replicas[i]; !r.healthy.Load() || !r.brk.ready() {
+			return nil
+		}
+	}
+	return cands
+}
+
+// routeKey hashes s — a point's canonical configuration key, or an
+// experiment id — into the balancer's routing hint: 64-bit FNV-1a over the
+// bytes, mixed with the gateway seed.
+func (g *Gateway) routeKey(s string) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return hashutil.SplitMix64(h ^ uint64(g.opt.Seed))
 }
 
 // runPoint routes one point as one canonical /v1/run — scale and seed
 // explicit, the scheduler in its parseable spelling: pick a replica,
 // execute the (possibly hedged) attempt, and on a retryable failure back
 // off with full jitter and try again against a different replica, up to
-// the retry bound. It returns the replica that served the point alongside
-// its body.
+// the retry bound. Every attempt routes on the hash of the point's canonical
+// key — the bytes the replicas' LRUs and the store key on — so a point goes
+// to the same home replica each time it is asked for, and a retry or hedge
+// to the key's next-ranked replica. It returns the replica that served the
+// point alongside its body.
 func (g *Gateway) runPoint(ctx context.Context, cfg front.Config) ([]byte, string, *api.Error) {
+	key := g.routeKey(cfg.Key())
 	p := cfg.Point
 	rr := api.Point{
 		Bench: p.Name, Sched: cliutil.SchedFlag(p.Kind),
@@ -358,8 +417,8 @@ func (g *Gateway) runPoint(ctx context.Context, cfg front.Config) ([]byte, strin
 				}
 			}
 		}
-		i := g.pick(last)
-		body, idx, ae := g.attempt(ctx, cfg, rr, i, a > 0)
+		i := g.pick(key, last)
+		body, idx, ae := g.attempt(ctx, cfg, key, rr, i, a > 0)
 		if ae == nil {
 			return body, g.replicas[idx].url, nil
 		}
@@ -396,7 +455,7 @@ func (g *Gateway) runPoint(ctx context.Context, cfg front.Config) ([]byte, strin
 // from a reachable instance — retryable elsewhere, without a health
 // demotion. It returns the winning body and replica index, or the first
 // real failure (and its replica index, -1 if none is attributable).
-func (g *Gateway) attempt(ctx context.Context, cfg front.Config, rr api.RunRequest, primary int, retry bool) ([]byte, int, *api.Error) {
+func (g *Gateway) attempt(ctx context.Context, cfg front.Config, key uint64, rr api.RunRequest, primary int, retry bool) ([]byte, int, *api.Error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels the loser the moment the winner returns
 
@@ -541,7 +600,7 @@ func (g *Gateway) attempt(ctx context.Context, cfg front.Config, rr api.RunReque
 		select {
 		case <-hedgeC:
 			hedgeC = nil // hedge at most once per attempt
-			if j := g.pick(primary); j != primary {
+			if j := g.pick(key, primary); j != primary {
 				launch(j, true)
 				pending++
 			}

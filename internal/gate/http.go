@@ -59,20 +59,22 @@ func (g *Gateway) exec(ctx context.Context, cfg front.Config) ([]byte, string, e
 	return body, url, nil
 }
 
-// proxy runs one whole-request call against a replica, re-routing
+// proxy runs one whole-request call against a replica, routed on the hash
+// of name (an experiment id) as a point is on its key, and re-routes
 // retryable failures to a different replica like any point. Every pick is
 // paired with exactly one balancer Observe, as the Balancer contract
 // requires. A proxied call's latency is not comparable with a point's, so
 // only a retryable (instance-bound) failure feeds the balancer a signal;
 // successes and deterministic rejections just return the slot.
-func (g *Gateway) proxy(ctx context.Context, call func(*replica) error) *api.Error {
+func (g *Gateway) proxy(ctx context.Context, name string, call func(*replica) error) *api.Error {
+	key := g.routeKey(name)
 	var lastErr *api.Error
 	last := -1
 	for a := 0; a <= g.opt.Retries; a++ {
 		if err := ctx.Err(); err != nil {
 			return api.Errorf(api.CodeShuttingDown, "%v", err)
 		}
-		i := g.pick(last)
+		i := g.pick(key, last)
 		rep := g.replicas[i]
 		start := time.Now()
 		err := call(rep)
@@ -98,7 +100,7 @@ func (g *Gateway) proxy(ctx context.Context, call func(*replica) error) *api.Err
 // re-encodes it — the listing is identical on every replica.
 func (g *Gateway) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 	var list []api.ExperimentInfo
-	if aerr := g.proxy(r.Context(), func(rep *replica) (err error) {
+	if aerr := g.proxy(r.Context(), "", func(rep *replica) (err error) {
 		list, err = rep.client.Experiments(r.Context())
 		return err
 	}); aerr != nil {
@@ -124,7 +126,7 @@ func (g *Gateway) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, aerr)
 		return
 	}
-	if aerr := g.proxy(ctx, func(rep *replica) error {
+	if aerr := g.proxy(ctx, id, func(rep *replica) error {
 		body, contentType, err := rep.client.Experiment(ctx, id, req)
 		if err != nil {
 			return err

@@ -604,8 +604,11 @@ func (e *Engine) tryDispatch(coreID int) bool {
 		// latest speculative task on this tile to make room ("aborting
 		// higher-timestamp tasks to free space", Sec. II-B).
 		blockedLong := cs.reason == idleCommitQ && e.now-cs.idleSince >= 2*e.cfg.GVTInterval
-		victim := e.latestSpeculative(tile)
-		if blockedLong && victim != nil && victim.State == task.Finished &&
+		var victim *task.Task
+		if blockedLong {
+			victim = e.latestSpeculative(tile)
+		}
+		if victim != nil && victim.State == task.Finished &&
 			pick.Ord().Before(victim.Ord()) {
 			e.abort(victim)
 			if pick.State != task.Idle { // candidate got dragged into the abort
