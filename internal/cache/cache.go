@@ -60,6 +60,8 @@ func ScaledConfig() Config {
 type array struct {
 	sets  int
 	ways  int
+	mask  uint64 // sets-1 when sets is a power of two
+	pow2  bool
 	tags  []uint64 // sets*ways line addresses, 0 = invalid
 	dirty []bool
 	tick  []uint64 // LRU timestamps
@@ -76,18 +78,33 @@ func newArray(p Params) *array {
 		sets = 1
 	}
 	n := sets * p.Ways
-	return &array{sets: sets, ways: p.Ways, tags: make([]uint64, n), dirty: make([]bool, n), tick: make([]uint64, n)}
+	return &array{
+		sets: sets, ways: p.Ways,
+		mask: uint64(sets - 1), pow2: sets&(sets-1) == 0,
+		tags: make([]uint64, n), dirty: make([]bool, n), tick: make([]uint64, n),
+	}
 }
 
-func (a *array) set(line uint64) int {
-	return int(hashutil.SplitMix64(line/mem.LineSize) % uint64(a.sets))
+// lineHash is the set-index hash of line, shared by every array the line
+// touches: an access computes it once and passes it down.
+func lineHash(line uint64) uint64 { return hashutil.SplitMix64(line / mem.LineSize) }
+
+// set maps a line hash to its set. Power-of-two set counts (every shipped
+// config) take the low bits with a mask, which is the same set as the
+// modulo; other counts keep the divide.
+func (a *array) set(hash uint64) int {
+	if a.pow2 {
+		return int(hash & a.mask)
+	}
+	return int(hash % uint64(a.sets))
 }
 
-// lookup returns the way index of line, or -1.
-func (a *array) lookup(line uint64) int {
-	base := a.set(line) * a.ways
-	for w := 0; w < a.ways; w++ {
-		if a.tags[base+w] == line {
+// lookup returns the way index of line (whose lineHash is hash), or -1.
+func (a *array) lookup(line, hash uint64) int {
+	base := a.set(hash) * a.ways
+	tags := a.tags[base : base+a.ways]
+	for w, tag := range tags {
+		if tag == line {
 			return base + w
 		}
 	}
@@ -104,8 +121,8 @@ func (a *array) touch(idx int, write bool) {
 
 // insert installs line, returning the victim line address and whether it was
 // dirty; victim is 0 when an invalid way was used.
-func (a *array) insert(line uint64, write bool) (victim uint64, victimDirty bool) {
-	base := a.set(line) * a.ways
+func (a *array) insert(line, hash uint64, write bool) (victim uint64, victimDirty bool) {
+	base := a.set(hash) * a.ways
 	vi := base
 	for w := 0; w < a.ways; w++ {
 		i := base + w
@@ -125,9 +142,20 @@ func (a *array) insert(line uint64, write bool) (victim uint64, victimDirty bool
 	return victim, victimDirty
 }
 
+// fillL1 installs line in an L1, or refreshes it when idx (the access's
+// first lookup in this array) found it there. L1 victims are clean wrt L2
+// (write-through to L2 model).
+func (a *array) fillL1(idx int, line, hash uint64, write bool) {
+	if idx >= 0 {
+		a.touch(idx, write)
+		return
+	}
+	a.insert(line, hash, write)
+}
+
 // invalidate drops line if present, reporting whether it was dirty.
-func (a *array) invalidate(line uint64) (present, dirty bool) {
-	if idx := a.lookup(line); idx >= 0 {
+func (a *array) invalidate(line, hash uint64) (present, dirty bool) {
+	if idx := a.lookup(line, hash); idx >= 0 {
 		present, dirty = true, a.dirty[idx]
 		a.tags[idx] = 0
 		a.dirty[idx] = false
@@ -162,13 +190,22 @@ type Hierarchy struct {
 	l2       []*array // per tile
 	l3       []*array // per tile (bank)
 
-	// dir is the in-cache coherence directory. Every simulated access
-	// consults it up to three times (exclusivity check, remote-copy check,
-	// state update), so it sits on a flat open-addressing table with entry
-	// recycling instead of a runtime map — lines enter on first sharing and
-	// leave on L3 eviction, churning constantly.
+	// dir is the in-cache coherence directory, on a flat open-addressing
+	// table with entry recycling instead of a runtime map — lines enter on
+	// first sharing and leave on L3 eviction, churning constantly.
 	dir     flat.Table[dirEntry]
 	dirPool mem.Pool[dirEntry]
+
+	// memoLine/memoEntry remember the last directory probe, including a
+	// miss (memoEntry nil). An access consults the directory up to three
+	// times (exclusivity check, remote-copy check, state update) and a
+	// read-modify-write touches the same line twice in a row, so most
+	// probes hit the memo. Entries are pooled pointers and table growth
+	// moves slots, not entries, so the memo only goes stale when its line
+	// leaves the directory — evictL3 resets it there. Line 0 is never
+	// queried (Access maps it to LineSize), so the zero value is empty.
+	memoLine  uint64
+	memoEntry *dirEntry
 }
 
 // New builds the hierarchy for mesh.Tiles() tiles with coresPerTile cores.
@@ -233,19 +270,28 @@ func (h *Hierarchy) Access(core, tile int, addr uint64, write bool, class noc.Ms
 	if line == 0 {
 		line = mem.LineSize // avoid the invalid-tag sentinel
 	}
+	hash := lineHash(line)
 	l1 := h.l1[core]
 	lat := h.cfg.L1Latency
 
-	if idx := l1.lookup(line); idx >= 0 {
+	// l1Idx stays valid down to fillL1: between here and there the core's
+	// L1 only loses lines other than this one (victims of L2/L3 inserts,
+	// invalidations of remote tiles), and clearing a way never moves
+	// another way's tag.
+	l1Idx := l1.lookup(line, hash)
+	if l1Idx >= 0 {
 		// L1 hit. Writes still need exclusivity if other tiles share it.
 		if !write {
-			l1.touch(idx, false)
+			l1.touch(l1Idx, false)
 			h.rec.Tile(tile).L1Hits++
 			return lat
 		}
-		if e := h.dir.Get(line); e == nil || (e.sharers == 1<<uint(tile) && e.owner <= int8(tile)) {
-			l1.touch(idx, true)
-			h.l2mark(tile, line, true)
+		if e := h.dirGet(line); e == nil || (e.sharers == 1<<uint(tile) && e.owner <= int8(tile)) {
+			l1.touch(l1Idx, true)
+			l2 := h.l2[tile]
+			if idx := l2.lookup(line, hash); idx >= 0 {
+				l2.touch(idx, true)
+			}
 			h.rec.Tile(tile).L1Hits++
 			h.setOwner(line, tile)
 			return lat
@@ -255,13 +301,13 @@ func (h *Hierarchy) Access(core, tile int, addr uint64, write bool, class noc.Ms
 
 	lat += h.cfg.L2Latency
 	l2 := h.l2[tile]
-	l2Idx := l2.lookup(line)
+	l2Idx := l2.lookup(line, hash)
 	needsCoherence := write && h.hasRemoteCopies(line, tile)
 
 	if l2Idx >= 0 && !needsCoherence {
 		l2.touch(l2Idx, write)
 		h.rec.Tile(tile).L2Hits++
-		h.fillL1(core, tile, line, write)
+		l1.fillL1(l1Idx, line, hash, write)
 		if write {
 			h.setOwner(line, tile)
 		}
@@ -283,7 +329,7 @@ func (h *Hierarchy) Access(core, tile int, addr uint64, write bool, class noc.Ms
 			if t == tile || e.sharers&(1<<uint(t)) == 0 {
 				continue
 			}
-			h.invalidateTile(t, line, class)
+			h.invalidateTile(t, line, hash, home, class)
 			if d := h.mesh.Latency(home, t); d > worst {
 				worst = d
 			}
@@ -308,7 +354,7 @@ func (h *Hierarchy) Access(core, tile int, addr uint64, write bool, class noc.Ms
 	}
 
 	l3 := h.l3[home]
-	if idx := l3.lookup(line); idx >= 0 {
+	if idx := l3.lookup(line, hash); idx >= 0 {
 		l3.touch(idx, write)
 		h.rec.Tile(home).L3Hits++
 	} else {
@@ -317,7 +363,7 @@ func (h *Hierarchy) Access(core, tile int, addr uint64, write bool, class noc.Ms
 		lat += h.cfg.MemLatency
 		lat += h.mesh.SendToEdge(class, home, mem.LineSize)
 		h.rec.Tile(home).MemAccesses++
-		victim, vDirty := l3.insert(line, write)
+		victim, vDirty := l3.insert(line, hash, write)
 		if victim != 0 {
 			h.evictL3(victim, home, vDirty, class)
 		}
@@ -329,32 +375,44 @@ func (h *Hierarchy) Access(core, tile int, addr uint64, write bool, class noc.Ms
 
 	// Fill L2 and L1.
 	if l2Idx < 0 {
-		victim, vDirty := l2.insert(line, write)
+		victim, vDirty := l2.insert(line, hash, write)
 		if victim != 0 {
 			h.evictL2(victim, tile, vDirty, class)
 		}
 	} else {
 		l2.touch(l2Idx, write)
 	}
-	h.fillL1(core, tile, line, write)
+	l1.fillL1(l1Idx, line, hash, write)
 	return lat
+}
+
+// dirGet returns the directory entry for line, or nil, through the
+// one-entry memo.
+func (h *Hierarchy) dirGet(line uint64) *dirEntry {
+	if line == h.memoLine {
+		return h.memoEntry
+	}
+	e := h.dir.Get(line)
+	h.memoLine, h.memoEntry = line, e
+	return e
 }
 
 // dirEntryFor returns the directory entry for line, materializing a fresh
 // (pooled) one when the line is not yet tracked.
 func (h *Hierarchy) dirEntryFor(line uint64) *dirEntry {
-	e := h.dir.Get(line)
+	e := h.dirGet(line)
 	if e == nil {
 		e = h.dirPool.Get()
 		e.sharers, e.owner = 0, -1
 		h.dir.Put(line, e)
+		h.memoEntry = e // dirGet just set memoLine = line
 	}
 	return e
 }
 
 // hasRemoteCopies reports whether any tile other than tile holds line.
 func (h *Hierarchy) hasRemoteCopies(line uint64, tile int) bool {
-	e := h.dir.Get(line)
+	e := h.dirGet(line)
 	if e == nil {
 		return false
 	}
@@ -367,41 +425,28 @@ func (h *Hierarchy) setOwner(line uint64, tile int) {
 	e.sharers |= 1 << uint(tile)
 }
 
-func (h *Hierarchy) l2mark(tile int, line uint64, write bool) {
-	if idx := h.l2[tile].lookup(line); idx >= 0 {
-		h.l2[tile].touch(idx, write)
-	}
-}
-
-func (h *Hierarchy) fillL1(core, tile int, line uint64, write bool) {
-	l1 := h.l1[core]
-	if idx := l1.lookup(line); idx >= 0 {
-		l1.touch(idx, write)
-		return
-	}
-	l1.insert(line, write) // L1 victims are clean wrt L2 (write-through to L2 model)
-}
-
-// invalidateTile removes line from one tile's L2 and all its cores' L1s.
-func (h *Hierarchy) invalidateTile(tile int, line uint64, class noc.MsgClass) {
+// invalidateTile removes line (hash its lineHash, home its L3 bank) from
+// one tile's L2 and all its cores' L1s.
+func (h *Hierarchy) invalidateTile(tile int, line, hash uint64, home int, class noc.MsgClass) {
 	h.rec.Tile(tile).Invalidations++
-	if present, dirty := h.l2[tile].invalidate(line); present && dirty {
+	if present, dirty := h.l2[tile].invalidate(line, hash); present && dirty {
 		h.rec.Tile(tile).Writebacks++
-		h.mesh.Send(class, tile, h.homeBank(line), mem.LineSize)
+		h.mesh.Send(class, tile, home, mem.LineSize)
 	}
 	base := tile * h.coresPer
 	for c := 0; c < h.coresPer; c++ {
-		h.l1[base+c].invalidate(line)
+		h.l1[base+c].invalidate(line, hash)
 	}
 }
 
 // evictL2 handles an L2 victim: dirty lines write back to the home bank.
 func (h *Hierarchy) evictL2(victim uint64, tile int, dirty bool, class noc.MsgClass) {
+	hash := lineHash(victim)
 	base := tile * h.coresPer
 	for c := 0; c < h.coresPer; c++ {
-		h.l1[base+c].invalidate(victim) // inclusion
+		h.l1[base+c].invalidate(victim, hash) // inclusion
 	}
-	if e := h.dir.Get(victim); e != nil {
+	if e := h.dirGet(victim); e != nil {
 		e.sharers &^= 1 << uint(tile)
 		if e.owner == int8(tile) {
 			e.owner = -1
@@ -414,12 +459,17 @@ func (h *Hierarchy) evictL2(victim uint64, tile int, dirty bool, class noc.MsgCl
 }
 
 // evictL3 enforces inclusion: dropping an L3 line invalidates every L2/L1
-// copy, and dirty data goes to the memory controller.
+// copy, and dirty data goes to the memory controller. The victim lived in
+// bank home, which is its home bank.
 func (h *Hierarchy) evictL3(victim uint64, home int, dirty bool, class noc.MsgClass) {
+	if victim == h.memoLine {
+		h.memoEntry = nil // the line leaves the directory below
+	}
 	if e := h.dir.Delete(victim); e != nil {
+		hash := lineHash(victim)
 		for t := 0; t < len(h.l2); t++ {
 			if e.sharers&(1<<uint(t)) != 0 {
-				h.invalidateTile(t, victim, class)
+				h.invalidateTile(t, victim, hash, home, class)
 			}
 		}
 		h.dirPool.Put(e)

@@ -3,6 +3,8 @@ package conflict
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"swarmhints/internal/metrics"
@@ -279,5 +281,80 @@ func TestQueryScratchSurvivesAbortWalk(t *testing.T) {
 	ix.AbortSet(got[0]) // uses the internal walk buffer, not ours
 	if got[0] != a || got[1] != b {
 		t.Fatal("AbortSet clobbered the LaterAccessors result buffer")
+	}
+}
+
+// releaseReuseTrace is an operation trace (the fuzz encoding: operation
+// and tile, task, address) around entry recycling. Task 0 reads A (address
+// 0) and is aborted, releasing A's entry; task 1's write to B (address 1)
+// takes that entry from the pool; A is then queried. A second round
+// registers A again, releases it, re-reads it at once, and hands the
+// released entry to C (address 2) — a lookup that still resolved A to its
+// released entry would register the read in an entry outside the table,
+// and C would inherit it. The same bytes are a seed-corpus file of
+// FuzzIndexVsReference (testdata/fuzz/FuzzIndexVsReference/release-reuse).
+var releaseReuseTrace = []byte{
+	opRead, 0, 0,
+	opLaterWriters, 2, 0,
+	opAbort, 0, 0,
+	opWrite, 1, 1,
+	opLaterWriters, 2, 0,
+	opLaterAccessors, 0, 0,
+	opLatestEarlierWriter, 3, 0,
+	opLaterAccessors, 0, 1,
+	opRead, 2, 0,
+	opAbort, 2, 0,
+	opRead, 4, 0,
+	opWrite, 6, 2,
+	opLaterAccessors, 0, 2,
+	opLaterAccessors, 0, 0,
+}
+
+// TestIndexLookupAfterRelease pins the lookup memo's invalidation: once an
+// address's entry is released to the pool, the address reads as untracked,
+// even after the pool hands the same entry to another address. Results and
+// comparison counts must match the reference at every step.
+func TestIndexLookupAfterRelease(t *testing.T) {
+	h := newDiffHarness(12, 8, 3)
+	ops := releaseReuseTrace
+	var first *entry
+	for i := 0; i+2 < len(ops); i += 3 {
+		op := int(ops[i])
+		if msg := h.step(op, int(ops[i+1]), int(ops[i+2]), op/numOps); msg != "" {
+			t.Fatalf("op %d: %s", i/3, msg)
+		}
+		switch i / 3 {
+		case 0:
+			first = h.ix.tab.Get(h.addrs[0])
+		case 3:
+			if h.ix.tab.Get(h.addrs[1]) != first {
+				t.Fatal("pool did not hand A's released entry to B (test premise)")
+			}
+			if h.ix.tab.Get(h.addrs[0]) != nil {
+				t.Fatal("released address still in the table")
+			}
+		}
+		if msg := h.checkTable(); msg != "" {
+			t.Fatalf("op %d: %s", i/3, msg)
+		}
+	}
+	a := h.addrs[0]
+	late := mk(99, 1000)
+	early := mk(98, 0)
+	if ws := h.ix.LaterWriters(a, early.Ord(), early, 0); len(ws) != 0 {
+		t.Fatalf("LaterWriters(A) = %v after A's writers left", ws)
+	}
+	if w := h.ix.LatestEarlierWriter(a, late.Ord(), late, 0); w != nil {
+		t.Fatalf("LatestEarlierWriter(A) = %v after A's writers left", w)
+	}
+
+	// The committed corpus file must hold exactly this trace.
+	want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", ops)
+	got, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzIndexVsReference", "release-reuse"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("release-reuse corpus file drifted from releaseReuseTrace:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -49,6 +49,16 @@ type Index struct {
 	// Remove deleted once their address went quiet; most addresses cycle
 	// between empty and occupied throughout a run.
 	entryPool mem.Pool[entry]
+
+	// memoAddr/memoEntry remember the last table probe, including a miss
+	// (memoEntry nil): one simulated access queries its address two or
+	// three times and then registers it. Entries are pooled pointers and
+	// table growth moves slots, not entries, so the memo only goes stale
+	// when its address's entry is released — release resets it there.
+	// memoOK is false until the first probe.
+	memoAddr  uint64
+	memoEntry *entry
+	memoOK    bool
 }
 
 type entry struct {
@@ -79,11 +89,23 @@ func (ix *Index) comp(tile int) *uint64 {
 // over tiles.
 func (ix *Index) Comparisons() uint64 { return ix.rec.Aggregate().Comparisons }
 
-func (ix *Index) get(addr uint64) *entry {
+// lookup returns the entry registered for addr, or nil, through the
+// one-entry memo.
+func (ix *Index) lookup(addr uint64) *entry {
+	if ix.memoOK && addr == ix.memoAddr {
+		return ix.memoEntry
+	}
 	e := ix.tab.Get(addr)
+	ix.memoAddr, ix.memoEntry, ix.memoOK = addr, e, true
+	return e
+}
+
+func (ix *Index) get(addr uint64) *entry {
+	e := ix.lookup(addr)
 	if e == nil {
 		e = ix.entryPool.Get()
 		ix.tab.Put(addr, e)
+		ix.memoEntry = e // lookup just set memoAddr = addr
 	}
 	return e
 }
@@ -94,6 +116,9 @@ func (ix *Index) release(addr uint64, e *entry) {
 	e.readers = e.readers[:0]
 	e.writers = e.writers[:0]
 	ix.tab.Delete(addr)
+	if addr == ix.memoAddr {
+		ix.memoEntry = nil // addr is now absent; e may serve another address
+	}
 	ix.entryPool.Put(e)
 }
 
@@ -115,7 +140,7 @@ func (ix *Index) OnWrite(t *task.Task, addr uint64) {
 // performing the check, for comparison attribution. The returned slice is
 // scratch, valid until the next LaterWriters call on this Index.
 func (ix *Index) LaterWriters(addr uint64, o task.Order, self *task.Task, tile int) []*task.Task {
-	e := ix.tab.Get(addr)
+	e := ix.lookup(addr)
 	if e == nil {
 		return nil
 	}
@@ -139,7 +164,7 @@ func (ix *Index) LaterWriters(addr uint64, o task.Order, self *task.Task, tile i
 // o observes; the engine uses it to model forwarding latency — a consumer
 // cannot complete before the producer's execution produced the value.
 func (ix *Index) LatestEarlierWriter(addr uint64, o task.Order, self *task.Task, tile int) *task.Task {
-	e := ix.tab.Get(addr)
+	e := ix.lookup(addr)
 	if e == nil {
 		return nil
 	}
@@ -173,7 +198,7 @@ func (ix *Index) LaterAccessors(addr uint64, o task.Order, self *task.Task, tile
 // is an epoch stamp on the task, bumped per walk, replacing the quadratic
 // membership scan over the result slice.
 func (ix *Index) laterAccessorsInto(dst []*task.Task, addr uint64, o task.Order, self *task.Task, tile int) []*task.Task {
-	e := ix.tab.Get(addr)
+	e := ix.lookup(addr)
 	if e == nil {
 		return dst
 	}
@@ -201,7 +226,7 @@ func (ix *Index) laterAccessorsInto(dst []*task.Task, addr uint64, o task.Order,
 // attempt. Call on commit and on abort (before ResetAttempt).
 func (ix *Index) Remove(t *task.Task) {
 	for _, a := range t.Reads {
-		if e := ix.tab.Get(a); e != nil {
+		if e := ix.lookup(a); e != nil {
 			e.readers = removeTask(e.readers, t)
 			if len(e.readers) == 0 && len(e.writers) == 0 {
 				ix.release(a, e)
@@ -209,7 +234,7 @@ func (ix *Index) Remove(t *task.Task) {
 		}
 	}
 	for _, a := range t.Writes {
-		if e := ix.tab.Get(a); e != nil {
+		if e := ix.lookup(a); e != nil {
 			e.writers = removeTask(e.writers, t)
 			if len(e.readers) == 0 && len(e.writers) == 0 {
 				ix.release(a, e)
@@ -218,9 +243,18 @@ func (ix *Index) Remove(t *task.Task) {
 	}
 }
 
+// removeTask drops every occurrence of t from ts in place, keeping the
+// order of the rest. The prefix before the first match is left untouched.
 func removeTask(ts []*task.Task, t *task.Task) []*task.Task {
-	out := ts[:0]
-	for _, x := range ts {
+	i := 0
+	for i < len(ts) && ts[i] != t {
+		i++
+	}
+	if i == len(ts) {
+		return ts
+	}
+	out := ts[:i]
+	for _, x := range ts[i+1:] {
 		if x != t {
 			out = append(out, x)
 		}

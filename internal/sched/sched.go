@@ -74,6 +74,12 @@ type Scheduler struct {
 	interval     uint64
 	nextReconfig uint64
 	fraction     float64
+
+	// Reconfigure's working buffers, reused across calls.
+	load, bucketLoad, surplus []float64
+	order                     []int
+	owned, tileBuckets        [][]int
+	tileCycles                []uint64
 }
 
 // New builds a scheduler for the given tile count. seed fixes the RNG used
@@ -98,6 +104,11 @@ func New(kind Kind, tiles int, interval uint64, seed int64, rec *metrics.Recorde
 		for b := range s.tileMap {
 			s.tileMap[b] = b % tiles // initial uniform division (Sec. VI)
 		}
+		s.load, s.surplus = make([]float64, tiles), make([]float64, tiles)
+		s.bucketLoad = make([]float64, s.buckets)
+		s.order = make([]int, tiles)
+		s.owned, s.tileBuckets = make([][]int, tiles), make([][]int, tiles)
+		s.tileCycles = make([]uint64, tiles)
 		s.nextReconfig = interval
 	}
 	return s
@@ -174,8 +185,9 @@ func (s *Scheduler) Reconfigure(now uint64, idlePerTile []int) {
 	s.nextReconfig = now + s.interval
 	s.rec.Reconfigs++
 
-	load := make([]float64, s.tiles)
-	bucketLoad := make([]float64, s.buckets)
+	load, bucketLoad := s.load, s.bucketLoad
+	clear(load)
+	clear(bucketLoad)
 	switch s.kind {
 	case LBHints:
 		for b, c := range s.bucketCycles {
@@ -185,8 +197,11 @@ func (s *Scheduler) Reconfigure(now uint64, idlePerTile []int) {
 	case LBIdleProxy:
 		// Distribute each tile's idle-task count across its buckets in
 		// proportion to profiled cycles (uniform if none profiled).
-		tileBuckets := make([][]int, s.tiles)
-		tileCycles := make([]uint64, s.tiles)
+		tileBuckets, tileCycles := s.tileBuckets, s.tileCycles
+		for t := range tileBuckets {
+			tileBuckets[t] = tileBuckets[t][:0]
+		}
+		clear(tileCycles)
 		for b, t := range s.tileMap {
 			tileBuckets[t] = append(tileBuckets[t], b)
 			tileCycles[t] += s.bucketCycles[b]
@@ -217,7 +232,7 @@ func (s *Scheduler) Reconfigure(now uint64, idlePerTile []int) {
 	avg := total / float64(s.tiles)
 
 	// Sort tiles by load ascending.
-	order := make([]int, s.tiles)
+	order := s.order
 	for i := range order {
 		order[i] = i
 	}
@@ -233,8 +248,11 @@ func (s *Scheduler) Reconfigure(now uint64, idlePerTile []int) {
 
 	// Remaining transferable surplus per overloaded tile and buckets owned,
 	// cheapest-first so donations can be sized to the receiver's deficit.
-	surplus := make([]float64, s.tiles)
-	owned := make([][]int, s.tiles)
+	surplus, owned := s.surplus, s.owned
+	clear(surplus)
+	for t := range owned {
+		owned[t] = owned[t][:0]
+	}
 	for b := range s.tileMap {
 		owned[s.tileMap[b]] = append(owned[s.tileMap[b]], b)
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"swarmhints/internal/hashutil"
@@ -344,5 +345,39 @@ func TestLBReconfigPublishesToRecorder(t *testing.T) {
 	}
 	if s.Reconfigs() != 2 {
 		t.Errorf("scheduler reports %d reconfigs, want 2", s.Reconfigs())
+	}
+}
+
+// TestReconfigureScratchCarriesNoState: Reconfigure reuses its working
+// buffers across calls, so each call must decide exactly what a fresh
+// scheduler holding the same tile map and cycle profile decides.
+func TestReconfigureScratchCarriesNoState(t *testing.T) {
+	for _, kind := range []Kind{LBHints, LBIdleProxy} {
+		const tiles = 8
+		s := New(kind, tiles, 100, 1, nil)
+		rng := rand.New(rand.NewSource(3))
+		idle := make([]int, tiles)
+		for round := 1; round <= 200; round++ {
+			for b := range s.bucketCycles {
+				if rng.Intn(3) > 0 {
+					s.bucketCycles[b] = uint64(rng.Intn(1000) * rng.Intn(4))
+				}
+			}
+			for i := range idle {
+				idle[i] = rng.Intn(50) * rng.Intn(2)
+			}
+			fresh := New(kind, tiles, 100, 1, nil)
+			copy(fresh.tileMap, s.tileMap)
+			copy(fresh.bucketCycles, s.bucketCycles)
+			now := uint64(round * 100)
+			s.Reconfigure(now, idle)
+			fresh.Reconfigure(now, idle)
+			for b := range s.tileMap {
+				if s.tileMap[b] != fresh.tileMap[b] {
+					t.Fatalf("%v round %d: bucket %d on tile %d, fresh scheduler put it on %d",
+						kind, round, b, s.tileMap[b], fresh.tileMap[b])
+				}
+			}
+		}
 	}
 }

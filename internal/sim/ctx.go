@@ -73,7 +73,7 @@ func (c *Ctx) Read(addr uint64) uint64 {
 	}
 	c.waitForProducer(addr)
 	e.index.OnRead(c.t, addr)
-	c.t.Reads = append(c.t.Reads, addr)
+	e.pool.AddRead(c.t, addr)
 	return e.prog.Mem.Load(addr)
 }
 
@@ -97,9 +97,8 @@ func (c *Ctx) Write(addr, val uint64) {
 	}
 	c.waitForProducer(addr) // WAW: our write completes after the earlier one
 	old, seq := e.prog.Mem.Store(addr, val)
-	c.t.Undo.Append(mem.UndoEntry{Addr: addr, Old: old, Seq: seq})
 	e.index.OnWrite(c.t, addr)
-	c.t.Writes = append(c.t.Writes, addr)
+	e.pool.AddWrite(c.t, addr, mem.UndoEntry{Addr: addr, Old: old, Seq: seq})
 }
 
 // Compute charges n cycles of non-memory work (e.g. kmeans distance math).

@@ -163,6 +163,7 @@ type Engine struct {
 	gvtRunning [][]*task.Task // per-tile running tasks, reused across rounds
 
 	runScratch  []runHint       // pickCandidate's running-task snapshot
+	idleScratch []int           // per-tile idle counts for load balancing
 	logScratch  []*mem.UndoLog  // abort's undo-log collection
 	undoScratch []mem.UndoEntry // abort's merged-rollback buffer
 
@@ -233,6 +234,7 @@ func newEngine(p *Program, cfg Config) *Engine {
 	e.gvtMins = make([]task.Order, tiles)
 	e.gvtRunning = make([][]*task.Task, tiles)
 	e.pickMemo = make([]pickMemo, tiles)
+	e.idleScratch = make([]int, tiles)
 	e.useHeap = cfg.useHeapEvents
 	if !e.useHeap {
 		e.events = calq.New[evPayload](eventWindow)
@@ -402,7 +404,7 @@ func (e *Engine) handle(ev event) {
 		// event batch, which is the point of this event.
 	case evLB:
 		if e.schd.ReconfigDue(e.now) {
-			idle := make([]int, len(e.queues))
+			idle := e.idleScratch
 			for i, q := range e.queues {
 				idle[i] = q.IdleCount()
 			}
@@ -510,7 +512,7 @@ func (e *Engine) enqueue(parent *task.Task, fromTile int, fn task.FnID, ts uint6
 	e.nextID++
 	t := e.pool.Get(e.nextID, fn, ts, kind, hint, parent, args)
 	if parent != nil {
-		parent.Children = append(parent.Children, t)
+		e.pool.AddChild(parent, t)
 	}
 	dest := e.schd.DestTile(t, fromTile)
 	if dest != fromTile {

@@ -157,27 +157,112 @@ func NewTask(id uint64, fn FnID, ts uint64, kind HintKind, hint uint64, parent *
 }
 
 // Pool recycles Task descriptors through a free list so the engine's
-// enqueue hot path stops allocating one Task (plus its Args/Reads/Writes/
-// undo-log slices) per created task. Not safe for concurrent use: each
-// engine owns one, keeping parallel sweep runs free of shared state.
+// enqueue hot path stops allocating one Task per created task. A
+// descriptor's Args, Children, Reads, Writes and undo-log buffers are carved
+// from per-pool slabs when first needed (Get, AddRead, AddWrite, AddChild),
+// and a recycled one keeps its buffers, so steady-state task creation and
+// execution allocate nothing. Not safe for concurrent use: each engine
+// owns one, keeping parallel sweep runs free of shared state.
 type Pool struct {
-	p mem.Pool[Task]
+	p     mem.Pool[Task]
+	words slab[uint64]
+	kids  slab[*Task]
+	undo  slab[mem.UndoEntry]
 }
+
+const (
+	// argCap covers the paper's three 64-bit arguments (Sec. III-B).
+	argCap = 3
+	// carveMax is the largest buffer carved from a slab; a buffer that
+	// outgrows it continues on the heap.
+	carveMax = 16
+	// maxRetained bounds the buffer capacity a recycled descriptor keeps
+	// (per buffer, in elements): Put drops larger ones, so one large task
+	// cannot pin its buffers for the rest of the run.
+	maxRetained = 256
+)
 
 // Get returns an initialized descriptor, recycled when possible. The args
 // slice is copied into the descriptor's own (reused) backing array, so the
 // caller's slice does not escape.
 func (pl *Pool) Get(id uint64, fn FnID, ts uint64, kind HintKind, hint uint64, parent *Task, args []uint64) *Task {
 	t := pl.p.Get()
+	if cap(t.Args) < len(args) {
+		t.Args = pl.words.carve(max(len(args), argCap))
+	}
 	t.init(id, fn, ts, kind, hint, parent, args)
 	return t
+}
+
+// AddRead records a read of addr in t's current attempt.
+func (pl *Pool) AddRead(t *Task, addr uint64) {
+	t.Reads = pl.words.push(t.Reads, addr)
+}
+
+// AddWrite records a write of addr, undoing to u, in t's current attempt.
+func (pl *Pool) AddWrite(t *Task, addr uint64, u mem.UndoEntry) {
+	if n := t.Undo.Len(); n == t.Undo.Cap() && n < carveMax {
+		t.Undo.SetEntries(append(pl.undo.carve(max(1, 2*n)), t.Undo.Entries()...))
+	}
+	t.Undo.Append(u)
+	t.Writes = pl.words.push(t.Writes, addr)
+}
+
+// AddChild records child as created by parent's current attempt.
+func (pl *Pool) AddChild(parent, child *Task) {
+	parent.Children = pl.kids.push(parent.Children, child)
 }
 
 // Put recycles a descriptor. The caller must guarantee nothing references
 // it anymore: the engine retires committed tasks only after the GVT round
 // that committed them has cleared every child's Parent pointer.
 func (pl *Pool) Put(t *Task) {
+	if cap(t.Args) > maxRetained {
+		t.Args = nil
+	}
+	if cap(t.Reads) > maxRetained {
+		t.Reads = nil
+	}
+	if cap(t.Writes) > maxRetained {
+		t.Writes = nil
+	}
+	if cap(t.Children) > maxRetained {
+		t.Children = nil
+	}
+	if t.Undo.Cap() > maxRetained {
+		t.Undo.SetEntries(nil)
+	}
 	pl.p.Put(t)
+}
+
+// slab carves small fixed-capacity slices out of shared backing arrays, the
+// way calq carves its buckets: one allocation serves many descriptors. A
+// carved slice's capacity ends where the next one begins, so appending past
+// it reallocates instead of overwriting a neighbour.
+type slab[T any] struct {
+	free []T // uncarved tail of the current backing array
+}
+
+// slabLen is the element count of one backing array.
+const slabLen = 512
+
+func (s *slab[T]) carve(n int) []T {
+	if len(s.free) < n {
+		s.free = make([]T, max(slabLen, n))
+	}
+	out := s.free[:0:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// push appends v to buf. A full buffer below carveMax moves to a carved one
+// of twice its capacity (the outgrown piece stays in its slab); a larger
+// one grows on the heap like any append.
+func (s *slab[T]) push(buf []T, v T) []T {
+	if n := len(buf); n == cap(buf) && n < carveMax {
+		buf = append(s.carve(max(1, 2*n)), buf...)
+	}
+	return append(buf, v)
 }
 
 // DescriptorBytes is the task descriptor size sent over the NoC: function
@@ -595,9 +680,14 @@ func (q *Queue) EarliestUncommitted(running []*Task, finished []*Task) Order {
 	if q.idle.n > 0 && q.idle.buf[q.idle.head].Ord().Before(best) {
 		best = q.idle.buf[q.idle.head].Ord()
 	}
-	for _, t := range q.spillBuffer {
-		if t.State == Spilled && t.Ord().Before(best) {
-			best = t.Ord()
+	// The spill buffer is sorted descending, so its earliest live task is
+	// the last one still Spilled (squashed entries linger until dropped).
+	for i := len(q.spillBuffer) - 1; i >= 0; i-- {
+		if t := q.spillBuffer[i]; t.State == Spilled {
+			if t.Ord().Before(best) {
+				best = t.Ord()
+			}
+			break
 		}
 	}
 	for _, t := range running {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"swarmhints/internal/mem"
 )
 
 func mk(id, ts uint64) *Task {
@@ -288,6 +290,59 @@ func TestEarliestUncommitted(t *testing.T) {
 	if got := empty.EarliestUncommitted(nil, nil); got != MaxOrder {
 		t.Fatal("empty tile must report MaxOrder")
 	}
+
+	// Spilled tasks count, squashed ones linger in the spill buffer but do
+	// not. The floor reads the buffer from its earliest end; it must agree
+	// with a scan over every entry wherever the squashed tasks sit.
+	scan := func(q *Queue) Order {
+		best := MaxOrder
+		if e := q.PeekEarliest(); e != nil {
+			best = e.Ord()
+		}
+		for _, tk := range q.spillBuffer {
+			if tk.State == Spilled && tk.Ord().Before(best) {
+				best = tk.Ord()
+			}
+		}
+		return best
+	}
+	spilled := func(squash ...uint64) *Queue {
+		q := NewQueue(2, 64, 4)
+		for id := uint64(10); id < 18; id++ {
+			q.SpillDirect(mk(id, 100+id))
+		}
+		for _, tk := range q.spillBuffer {
+			for _, id := range squash {
+				if tk.ID == id {
+					tk.State = Squashed
+				}
+			}
+		}
+		return q
+	}
+	cases := []struct {
+		name   string
+		squash []uint64
+		want   Order
+	}{
+		{"none squashed", nil, Order{110, 10}},
+		{"tail squashed", []uint64{10, 11}, Order{112, 12}},
+		{"middle squashed", []uint64{13, 14, 15}, Order{110, 10}},
+		{"tail and middle squashed", []uint64{10, 12, 14}, Order{111, 11}},
+		{"all but the latest squashed", []uint64{10, 11, 12, 13, 14, 15, 16}, Order{117, 17}},
+		{"all squashed", []uint64{10, 11, 12, 13, 14, 15, 16, 17}, MaxOrder},
+	}
+	for _, c := range cases {
+		q := spilled(c.squash...)
+		if got := q.EarliestUncommitted(nil, nil); got != c.want || got != scan(q) {
+			t.Errorf("%s: floor %+v, want %+v (full scan %+v)", c.name, got, c.want, scan(q))
+		}
+		// An idle task earlier than every spilled one still wins.
+		q.Enqueue(mk(3, 105))
+		if got := q.EarliestUncommitted(nil, nil); got != (Order{105, 3}) || got != scan(q) {
+			t.Errorf("%s with idle task: floor %+v, want ts=105 (full scan %+v)", c.name, got, scan(q))
+		}
+	}
 }
 
 func TestHeapPropertyRandomized(t *testing.T) {
@@ -321,5 +376,57 @@ func TestHeapPropertyRandomized(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolBuffers pins the slab-carved descriptor buffers: descriptors
+// carved side by side never see each other's data as they grow past the
+// carved sizes, the undo log keeps every entry in order through each move,
+// a recycled descriptor keeps its buffers, and Put drops buffers larger
+// than maxRetained.
+func TestPoolBuffers(t *testing.T) {
+	var pl Pool
+	a := pl.Get(1, 0, 10, HintNone, 0, nil, []uint64{7, 8})
+	b := pl.Get(2, 0, 20, HintNone, 0, nil, []uint64{9})
+	const n = 40
+	for i := uint64(0); i < n; i++ {
+		pl.AddRead(a, 1000+i)
+		pl.AddRead(b, 2000+i)
+		pl.AddWrite(a, 3000+i, mem.UndoEntry{Addr: 3000 + i, Old: i, Seq: 2 * i})
+		pl.AddWrite(b, 4000+i, mem.UndoEntry{Addr: 4000 + i, Old: i, Seq: 2*i + 1})
+		pl.AddChild(a, b)
+	}
+	if a.Args[0] != 7 || a.Args[1] != 8 || b.Args[0] != 9 {
+		t.Fatalf("args clobbered: %v %v", a.Args, b.Args)
+	}
+	for i := uint64(0); i < n; i++ {
+		if a.Reads[i] != 1000+i || b.Reads[i] != 2000+i || a.Writes[i] != 3000+i || b.Writes[i] != 4000+i {
+			t.Fatalf("access %d clobbered: %d %d %d %d", i, a.Reads[i], b.Reads[i], a.Writes[i], b.Writes[i])
+		}
+		if e := a.Undo.Entries()[i]; e != (mem.UndoEntry{Addr: 3000 + i, Old: i, Seq: 2 * i}) {
+			t.Fatalf("undo entry %d = %+v", i, e)
+		}
+		if e := b.Undo.Entries()[i]; e.Seq != 2*i+1 {
+			t.Fatalf("undo entry %d = %+v", i, e)
+		}
+		if a.Children[i] != b {
+			t.Fatalf("child %d clobbered", i)
+		}
+	}
+
+	// Recycling keeps buffers up to maxRetained and drops larger ones.
+	for i := 0; i < maxRetained; i++ {
+		pl.AddRead(b, uint64(i))
+	}
+	readsCap := cap(a.Reads)
+	pl.Put(a)
+	pl.Put(b)
+	c := pl.Get(3, 0, 30, HintNone, 0, nil, nil) // LIFO: b's descriptor
+	if c != b || cap(c.Reads) != 0 || len(c.Writes) != 0 || cap(c.Writes) == 0 {
+		t.Fatalf("recycled oversized descriptor: reads cap %d, writes len %d cap %d", cap(c.Reads), len(c.Writes), cap(c.Writes))
+	}
+	d := pl.Get(4, 0, 40, HintNone, 0, nil, nil)
+	if d != a || cap(d.Reads) != readsCap || len(d.Reads) != 0 || d.Undo.Len() != 0 || len(d.Children) != 0 {
+		t.Fatalf("recycled descriptor lost its buffers or kept its data")
 	}
 }
