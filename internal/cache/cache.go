@@ -202,8 +202,8 @@ type Hierarchy struct {
 	// read-modify-write touches the same line twice in a row, so most
 	// probes hit the memo. Entries are pooled pointers and table growth
 	// moves slots, not entries, so the memo only goes stale when its line
-	// leaves the directory — evictL3 resets it there. Line 0 is never
-	// queried (Access maps it to LineSize), so the zero value is empty.
+	// leaves the directory — evictL3 resets it there. The zero value
+	// records line 0, never tracked, as absent.
 	memoLine  uint64
 	memoEntry *dirEntry
 }

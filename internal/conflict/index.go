@@ -51,14 +51,13 @@ type Index struct {
 	entryPool mem.Pool[entry]
 
 	// memoAddr/memoEntry remember the last table probe, including a miss
-	// (memoEntry nil): one simulated access queries its address two or
-	// three times and then registers it. Entries are pooled pointers and
-	// table growth moves slots, not entries, so the memo only goes stale
-	// when its address's entry is released — release resets it there.
-	// memoOK is false until the first probe.
+	// (memoEntry nil; the zero value records address 0 absent, true of the
+	// empty table): one simulated access queries its address two or three
+	// times and then registers it. Entries are pooled pointers and table
+	// growth moves slots, not entries, so the memo only goes stale when its
+	// address's entry is released — release resets it there.
 	memoAddr  uint64
 	memoEntry *entry
-	memoOK    bool
 }
 
 type entry struct {
@@ -92,11 +91,11 @@ func (ix *Index) Comparisons() uint64 { return ix.rec.Aggregate().Comparisons }
 // lookup returns the entry registered for addr, or nil, through the
 // one-entry memo.
 func (ix *Index) lookup(addr uint64) *entry {
-	if ix.memoOK && addr == ix.memoAddr {
+	if addr == ix.memoAddr {
 		return ix.memoEntry
 	}
 	e := ix.tab.Get(addr)
-	ix.memoAddr, ix.memoEntry, ix.memoOK = addr, e, true
+	ix.memoAddr, ix.memoEntry = addr, e
 	return e
 }
 

@@ -181,12 +181,9 @@ func (l *UndoLog) Entries() []UndoEntry { return l.entries }
 // Reset clears the log for task re-execution.
 func (l *UndoLog) Reset() { l.entries = l.entries[:0] }
 
-// Cap returns the number of entries the log holds without growing.
-func (l *UndoLog) Cap() int { return cap(l.entries) }
-
 // SetEntries replaces the log's backing slice: buf's elements become the
 // log's entries and its capacity the log's storage. Descriptor pools use it
-// to move a log into a slab-carved buffer and to shed an oversized one.
+// to grow a log inside their slabs and to shed an oversized buffer.
 func (l *UndoLog) SetEntries(buf []UndoEntry) { l.entries = buf }
 
 // Rollback restores the undo entries of a set of aborting tasks. Entries

@@ -201,10 +201,7 @@ func (pl *Pool) AddRead(t *Task, addr uint64) {
 
 // AddWrite records a write of addr, undoing to u, in t's current attempt.
 func (pl *Pool) AddWrite(t *Task, addr uint64, u mem.UndoEntry) {
-	if n := t.Undo.Len(); n == t.Undo.Cap() && n < carveMax {
-		t.Undo.SetEntries(append(pl.undo.carve(max(1, 2*n)), t.Undo.Entries()...))
-	}
-	t.Undo.Append(u)
+	t.Undo.SetEntries(pl.undo.push(t.Undo.Entries(), u))
 	t.Writes = pl.words.push(t.Writes, addr)
 }
 
@@ -217,22 +214,18 @@ func (pl *Pool) AddChild(parent, child *Task) {
 // it anymore: the engine retires committed tasks only after the GVT round
 // that committed them has cleared every child's Parent pointer.
 func (pl *Pool) Put(t *Task) {
-	if cap(t.Args) > maxRetained {
-		t.Args = nil
-	}
-	if cap(t.Reads) > maxRetained {
-		t.Reads = nil
-	}
-	if cap(t.Writes) > maxRetained {
-		t.Writes = nil
-	}
-	if cap(t.Children) > maxRetained {
-		t.Children = nil
-	}
-	if t.Undo.Cap() > maxRetained {
-		t.Undo.SetEntries(nil)
-	}
+	t.Args, t.Reads, t.Writes = retain(t.Args), retain(t.Reads), retain(t.Writes)
+	t.Children = retain(t.Children)
+	t.Undo.SetEntries(retain(t.Undo.Entries()))
 	pl.p.Put(t)
+}
+
+// retain returns buf, or nil when its capacity exceeds maxRetained.
+func retain[T any](buf []T) []T {
+	if cap(buf) > maxRetained {
+		return nil
+	}
+	return buf
 }
 
 // slab carves small fixed-capacity slices out of shared backing arrays, the
