@@ -5,6 +5,7 @@
 package task
 
 import (
+	"math/bits"
 	"sort"
 
 	"swarmhints/internal/hashutil"
@@ -158,9 +159,9 @@ func NewTask(id uint64, fn FnID, ts uint64, kind HintKind, hint uint64, parent *
 
 // Pool recycles Task descriptors through a free list so the engine's
 // enqueue hot path stops allocating one Task per created task. A
-// descriptor's Args, Children, Reads, Writes and undo-log buffers are carved
-// from per-pool slabs when first needed (Get, AddRead, AddWrite, AddChild),
-// and a recycled one keeps its buffers, so steady-state task creation and
+// descriptor's Args, Children, Reads, Writes and undo-log buffers come from
+// per-pool slabs as they fill (Get, AddRead, AddWrite, AddChild), and a
+// recycled one keeps its buffers, so steady-state task creation and
 // execution allocate nothing. Not safe for concurrent use: each engine
 // owns one, keeping parallel sweep runs free of shared state.
 type Pool struct {
@@ -170,25 +171,18 @@ type Pool struct {
 	undo  slab[mem.UndoEntry]
 }
 
-const (
-	// argCap covers the paper's three 64-bit arguments (Sec. III-B).
-	argCap = 3
-	// carveMax is the largest buffer carved from a slab; a buffer that
-	// outgrows it continues on the heap.
-	carveMax = 16
-	// maxRetained bounds the buffer capacity a recycled descriptor keeps
-	// (per buffer, in elements): Put drops larger ones, so one large task
-	// cannot pin its buffers for the rest of the run.
-	maxRetained = 256
-)
+// maxRetained bounds the buffer capacity a recycled descriptor keeps (per
+// buffer, in elements): Put drops larger ones, so one large task cannot
+// pin its buffers for the rest of the run.
+const maxRetained = 256
 
 // Get returns an initialized descriptor, recycled when possible. The args
 // slice is copied into the descriptor's own (reused) backing array, so the
 // caller's slice does not escape.
 func (pl *Pool) Get(id uint64, fn FnID, ts uint64, kind HintKind, hint uint64, parent *Task, args []uint64) *Task {
 	t := pl.p.Get()
-	if cap(t.Args) < len(args) {
-		t.Args = pl.words.carve(max(len(args), argCap))
+	for cap(t.Args) < len(args) {
+		t.Args = pl.words.grow(t.Args)
 	}
 	t.init(id, fn, ts, kind, hint, parent, args)
 	return t
@@ -228,32 +222,54 @@ func retain[T any](buf []T) []T {
 	return buf
 }
 
-// slab carves small fixed-capacity slices out of shared backing arrays, the
-// way calq carves its buckets: one allocation serves many descriptors. A
-// carved slice's capacity ends where the next one begins, so appending past
-// it reallocates instead of overwriting a neighbour.
+// slab hands out descriptor buffers of 1 to carveMax elements, in
+// power-of-two sizes carved from shared backing arrays the way calq carves
+// its buckets, so one allocation serves many descriptors. A buffer that
+// outgrows its piece moves to the next size and hands the piece back for
+// the next buffer of that size: buffers grow as append would grow them,
+// without an allocation each and without pinning outgrown pieces. Larger
+// buffers grow on the heap like any append.
 type slab[T any] struct {
-	free []T // uncarved tail of the current backing array
+	free  []T              // uncarved tail of the current backing array
+	spare [slabSizes][][]T // handed-back pieces; spare[k] holds capacity 1<<k
 }
 
-// slabLen is the element count of one backing array.
-const slabLen = 512
+const (
+	slabSizes = 5                    // piece capacities 1, 2, 4, 8, 16
+	carveMax  = 1 << (slabSizes - 1) // largest piece
+	slabLen   = 512                  // elements per backing array
+)
 
-func (s *slab[T]) carve(n int) []T {
-	if len(s.free) < n {
-		s.free = make([]T, max(slabLen, n))
+// grow returns an empty buffer with twice buf's capacity (at least one
+// element), handing buf's piece back when it is a slab size.
+func (s *slab[T]) grow(buf []T) []T {
+	c := cap(buf)
+	if c > 0 && c <= carveMax && c&(c-1) == 0 {
+		k := bits.TrailingZeros(uint(c))
+		s.spare[k] = append(s.spare[k], buf[:0])
 	}
-	out := s.free[:0:n]
+	if c >= carveMax {
+		return make([]T, 0, 2*c)
+	}
+	k := bits.Len(uint(c)) // the size above c: c is 0 or a power of two
+	if n := len(s.spare[k]); n > 0 {
+		p := s.spare[k][n-1]
+		s.spare[k] = s.spare[k][:n-1]
+		return p
+	}
+	n := 1 << k
+	if len(s.free) < n {
+		s.free = make([]T, slabLen)
+	}
+	p := s.free[:0:n]
 	s.free = s.free[n:]
-	return out
+	return p
 }
 
-// push appends v to buf. A full buffer below carveMax moves to a carved one
-// of twice its capacity (the outgrown piece stays in its slab); a larger
-// one grows on the heap like any append.
+// push appends v to buf, growing a full buffer through grow.
 func (s *slab[T]) push(buf []T, v T) []T {
-	if n := len(buf); n == cap(buf) && n < carveMax {
-		buf = append(s.carve(max(1, 2*n)), buf...)
+	if len(buf) == cap(buf) {
+		buf = append(s.grow(buf), buf...)
 	}
 	return append(buf, v)
 }

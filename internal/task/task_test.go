@@ -382,10 +382,21 @@ func TestHeapPropertyRandomized(t *testing.T) {
 // TestPoolBuffers pins the slab-carved descriptor buffers: descriptors
 // carved side by side never see each other's data as they grow past the
 // carved sizes, the undo log keeps every entry in order through each move,
-// a recycled descriptor keeps its buffers, and Put drops buffers larger
-// than maxRetained.
+// an outgrown piece serves the next buffer of its size, a recycled
+// descriptor keeps its buffers, and Put drops buffers larger than
+// maxRetained.
 func TestPoolBuffers(t *testing.T) {
 	var pl Pool
+	x := pl.Get(7, 0, 1, HintNone, 0, nil, nil)
+	pl.AddRead(x, 1)
+	first := &x.Reads[0]
+	pl.AddRead(x, 2) // outgrows its one-element piece
+	y := pl.Get(8, 0, 2, HintNone, 0, nil, nil)
+	pl.AddRead(y, 3)
+	if &y.Reads[0] != first || x.Reads[0] != 1 || x.Reads[1] != 2 {
+		t.Fatal("an outgrown piece was not reused by the next buffer of its size")
+	}
+
 	a := pl.Get(1, 0, 10, HintNone, 0, nil, []uint64{7, 8})
 	b := pl.Get(2, 0, 20, HintNone, 0, nil, []uint64{9})
 	const n = 40
