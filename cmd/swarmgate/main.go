@@ -2,10 +2,10 @@
 // routing gateway (internal/gate). It exposes the same /v1 surface as a
 // single swarmd — same swarm/api request/response contract, same error
 // envelope, byte-identical responses — but decomposes each sweep grid
-// into points and routes every point to a replica through a pluggable
-// balancer, with per-point timeouts and bounded retry-on-retryable
-// against a different replica. A replica killed mid-sweep is drained and
-// its in-flight points are re-routed, so the sweep still completes.
+// into points and routes every point to its home replica, with per-point
+// timeouts and bounded retry-on-retryable against a different replica. A
+// replica killed mid-sweep is drained and its in-flight points are
+// re-routed, so the sweep still completes.
 //
 // Endpoints (identical contract to swarmd):
 //
@@ -19,17 +19,15 @@
 // Usage:
 //
 //	swarmgate -replicas http://10.0.0.1:8080,http://10.0.0.2:8080
-//	swarmgate -replicas ... -balancer p2c          # power-of-two-choices
-//	swarmgate -replicas ... -balancer roundrobin   # no-signal baseline
 //	swarmgate -replicas ... -point-timeout 2m -retries 5
 //	swarmgate -replicas ... -breaker-threshold 3 -hedge=false   # failure-hardening knobs
 //
-// The default balancer is "adaptive": pheromone-style scores, reinforced
-// by success latency and decayed multiplicatively on error/timeout, with
-// each point routed by weighted rendezvous hashing of its configuration key
-// over the scores, so a point keeps one home replica whose LRU holds it.
-// Replicas should share a
-// -store directory so any replica can serve any previously computed point.
+// Routing is adaptive: pheromone-style scores, reinforced by success
+// latency and decayed multiplicatively on error/timeout, with each point
+// routed by weighted rendezvous hashing of its configuration key over the
+// scores, so a point keeps one home replica whose LRU holds it. Replicas
+// should share a -store directory so any replica can serve any previously
+// computed point.
 //
 // SIGINT/SIGTERM starts a graceful shutdown: the listener closes,
 // in-flight requests drain for -drain, then remaining routing is canceled.
@@ -63,13 +61,12 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8090", "listen address (host:port; port 0 = ephemeral)")
 		replicas    = flag.String("replicas", "", "comma-separated swarmd base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
-		balancer    = flag.String("balancer", gate.BalancerAdaptive, "routing policy: adaptive, p2c, or roundrobin")
 		pointTO     = flag.Duration("point-timeout", 5*time.Minute, "per-attempt timeout for one point (0 = none)")
 		retries     = flag.Int("retries", 3, "extra attempts for a retryable point failure, each on a different replica")
 		concurrency = flag.Int("concurrency", 0, "max points in flight per request (0 = 4 x replicas)")
 		probe       = flag.Duration("probe", time.Second, "background /healthz probe interval (negative = disabled; the interval is jittered +/-25%)")
 		probeTO     = flag.Duration("probe-timeout", 0, "per-probe timeout (0 = 2s)")
-		seed        = flag.Int64("seed", 1, "routing seed: perturbs adaptive's point-key hash and seeds p2c's PRNG (routing is reproducible for a fixed seed)")
+		seed        = flag.Int64("seed", 1, "routing seed: perturbs the point-key hash, so another seed gives each point another home replica (routing is reproducible for a fixed seed)")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 		hedge       = flag.Bool("hedge", true, "hedge straggling points with a second attempt on another replica after the fleet's ~p95 latency")
 		brkThresh   = flag.Int("breaker-threshold", 0, "consecutive failures that open a replica's circuit breaker (0 = 5, negative = disabled)")
@@ -111,7 +108,6 @@ func main() {
 	}
 	g, err := gate.New(gate.Options{
 		Replicas:         urls,
-		Balancer:         *balancer,
 		PointTimeout:     *pointTO,
 		Retries:          *retries,
 		Concurrency:      *concurrency,
@@ -138,7 +134,7 @@ func main() {
 		fatal("listen", err)
 	}
 	slog.Info("listening", "component", "swarmgate", "addr", ln.Addr().String(),
-		"replicas", len(urls), "balancer", *balancer, "obs", *obsOn)
+		"replicas", len(urls), "obs", *obsOn)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

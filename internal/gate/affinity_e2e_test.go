@@ -11,14 +11,15 @@ import (
 )
 
 // heldScores is the adaptive balancer with its scores held at their
-// starting values: Observe drops the latency and failure signal, Pick is
-// the adaptive balancer's own. The real scores drift with each point's
+// starting values: success and failure drop the latency and failure
+// signal, Pick is the adaptive balancer's own. The real scores drift with each point's
 // latency, and a drift can move a key whose two weights lie close; holding
 // them isolates the key-to-replica mapping the gateway builds. How the
 // mapping follows the scores is the balancer unit tests' subject.
 type heldScores struct{ *adaptive }
 
-func (heldScores) Observe(int, time.Duration, Outcome) {}
+func (heldScores) success(int, time.Duration) {}
+func (heldScores) failure(int)                {}
 
 // TestGatewayRoutesPointsByKey: the gateway routes each point by its
 // configuration key, so asking for the fig2-tiny grid twice sends every

@@ -1,69 +1,36 @@
 package gate
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
 	"swarmhints/internal/hashutil"
 )
 
-// Outcome classifies one attempt for the balancer's learning signal.
-type Outcome int
-
-// Outcomes. OutcomeCanceled is an attempt abandoned by the caller (the
-// request context died mid-attempt): it releases the attempt's slot in
-// load-tracking balancers but must not move any score — a client
-// disconnect says nothing about the replica's health or speed.
-const (
-	OutcomeSuccess Outcome = iota
-	OutcomeFailure
-	OutcomeCanceled
-)
-
-// Balancer decides which replica serves the next point and learns from
-// every attempt's outcome. Implementations are safe for concurrent use;
-// every Pick is followed by exactly one Observe for the attempt it chose
-// (whatever its outcome), which is what lets load-tracking balancers keep
-// an outstanding count.
-type Balancer interface {
+// balancer decides which replica serves the next point and learns from
+// the attempts that settle on one. The gateway routes through the adaptive
+// balancer; the interface lets a test hold its scores still.
+// Implementations are safe for concurrent use.
+type balancer interface {
 	// Pick chooses one replica index among candidates (never empty) for
 	// the work whose routing hint is key: a hash of the point's canonical
 	// configuration key, so every attempt at one point carries the same
-	// key. Balancers may ignore it.
+	// key.
 	Pick(key uint64, candidates []int) int
-	// Observe reports the outcome of one attempt on replica i and its
+	// success reports an attempt on replica i that won its point, and its
 	// latency.
-	Observe(i int, latency time.Duration, o Outcome)
+	success(i int, latency time.Duration)
+	// failure reports an attempt on replica i that failed or timed out.
+	failure(i int)
 	// Scores snapshots the per-replica desirability signal (higher is
 	// better), for the swarmgate_replica_score gauge.
 	Scores() []float64
 }
 
-// Balancer names, as the -balancer flag spells them.
-const (
-	BalancerAdaptive   = "adaptive"
-	BalancerP2C        = "p2c"
-	BalancerRoundRobin = "roundrobin"
-)
-
-// NewBalancer builds the named balancer for n replicas. seed feeds p2c's
-// private PRNG, so its routing is reproducible for a fixed seed and request
-// sequence; adaptive and roundrobin draw no random numbers.
-func NewBalancer(name string, n int, seed int64) (Balancer, error) {
-	switch name {
-	case "", BalancerAdaptive:
-		return newAdaptive(n), nil
-	case BalancerP2C:
-		return newP2C(n, seed), nil
-	case BalancerRoundRobin:
-		return newRoundRobin(), nil
-	}
-	return nil, fmt.Errorf("unknown balancer %q (have %s, %s, %s)",
-		name, BalancerAdaptive, BalancerP2C, BalancerRoundRobin)
-}
+// BalancerAdaptive names the gateway's only routing policy, the
+// Options.Balancer value that selects it.
+const BalancerAdaptive = "adaptive"
 
 // Pheromone parameters of the adaptive balancer.
 const (
@@ -128,19 +95,18 @@ func unitHash(key uint64, replica int) float64 {
 	return (float64(h>>11) + 0.5) / (1 << 53)
 }
 
-func (a *adaptive) Observe(i int, latency time.Duration, o Outcome) {
-	if o == OutcomeCanceled {
-		return // no pheromone signal either way
-	}
+func (a *adaptive) failure(i int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if o == OutcomeFailure {
-		a.score[i] *= failDecay
-		if a.score[i] < scoreMin {
-			a.score[i] = scoreMin
-		}
-		return
+	a.score[i] *= failDecay
+	if a.score[i] < scoreMin {
+		a.score[i] = scoreMin
 	}
+}
+
+func (a *adaptive) success(i int, latency time.Duration) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	lat := latency.Seconds()
 	if lat <= 0 {
 		lat = 1e-9
@@ -174,87 +140,3 @@ func (a *adaptive) Scores() []float64 {
 	copy(out, a.score)
 	return out
 }
-
-// p2c is power-of-two-choices: sample two distinct candidates, send the
-// point to the one with fewer outstanding attempts (ties broken by EWMA
-// success latency). The classic measured baseline against adaptive. It
-// ignores the routing key, so it gives no cache affinity.
-type p2c struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-	out []int     // outstanding picks per replica
-	lat []float64 // EWMA success latency (seconds); 0 = no data yet
-}
-
-func newP2C(n int, seed int64) *p2c {
-	return &p2c{rng: rand.New(rand.NewSource(seed)), out: make([]int, n), lat: make([]float64, n)}
-}
-
-func (p *p2c) Pick(_ uint64, candidates []int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pick := candidates[0]
-	if len(candidates) > 1 {
-		ai := p.rng.Intn(len(candidates))
-		bi := p.rng.Intn(len(candidates) - 1)
-		if bi >= ai {
-			bi++
-		}
-		a, b := candidates[ai], candidates[bi]
-		pick = a
-		if p.out[b] < p.out[a] || (p.out[b] == p.out[a] && p.lat[b] < p.lat[a]) {
-			pick = b
-		}
-	}
-	p.out[pick]++
-	return pick
-}
-
-func (p *p2c) Observe(i int, latency time.Duration, o Outcome) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	// Every outcome — canceled included — returns the outstanding slot the
-	// Pick took; only successes feed the latency signal.
-	if p.out[i] > 0 {
-		p.out[i]--
-	}
-	if o == OutcomeSuccess {
-		lat := latency.Seconds()
-		if p.lat[i] == 0 {
-			p.lat[i] = lat
-		} else {
-			p.lat[i] = 0.8*p.lat[i] + 0.2*lat
-		}
-	}
-}
-
-func (p *p2c) Scores() []float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]float64, len(p.out))
-	for i := range out {
-		out[i] = 1 / (1 + float64(p.out[i]))
-	}
-	return out
-}
-
-// roundRobin cycles through the candidate list — the no-signal baseline.
-// It ignores the routing key.
-type roundRobin struct {
-	mu   sync.Mutex
-	next int
-}
-
-func newRoundRobin() *roundRobin { return &roundRobin{} }
-
-func (r *roundRobin) Pick(_ uint64, candidates []int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	pick := candidates[r.next%len(candidates)]
-	r.next++
-	return pick
-}
-
-func (r *roundRobin) Observe(int, time.Duration, Outcome) {}
-
-func (r *roundRobin) Scores() []float64 { return nil }

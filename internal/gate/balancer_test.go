@@ -7,29 +7,28 @@ import (
 	"time"
 )
 
-func picks(b Balancer, candidates []int, n int) map[int]int {
-	counts := make(map[int]int)
-	for i := 0; i < n; i++ {
-		p := b.Pick(uint64(i), candidates)
-		counts[p]++
-		b.Observe(p, time.Millisecond, OutcomeSuccess)
-	}
-	return counts
-}
-
+// TestNewBalancerNames: New builds a gateway under the empty balancer name
+// and "adaptive", and rejects every other name with an error naming the
+// one policy there is.
 func TestNewBalancerNames(t *testing.T) {
-	for _, name := range []string{"", BalancerAdaptive, BalancerP2C, BalancerRoundRobin} {
-		if _, err := NewBalancer(name, 3, 1); err != nil {
-			t.Errorf("NewBalancer(%q): %v", name, err)
+	urls := []string{"http://a", "http://b", "http://c"}
+	for _, name := range []string{"", BalancerAdaptive} {
+		g, err := New(Options{Replicas: urls, Balancer: name, ProbeInterval: -1})
+		if err != nil {
+			t.Errorf("New with balancer %q: %v", name, err)
+			continue
 		}
+		g.Close()
 	}
-	_, err := NewBalancer("magic", 3, 1)
-	if err == nil {
-		t.Fatal("unknown balancer accepted")
-	}
-	for _, want := range []string{BalancerAdaptive, BalancerP2C, BalancerRoundRobin} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not list %q", err, want)
+	for _, name := range []string{"p2c", "roundrobin", "magic"} {
+		g, err := New(Options{Replicas: urls, Balancer: name, ProbeInterval: -1})
+		if err == nil {
+			g.Close()
+			t.Errorf("New accepted balancer %q", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), BalancerAdaptive) {
+			t.Errorf("balancer %q: error %q does not name %q", name, err, BalancerAdaptive)
 		}
 	}
 }
@@ -42,7 +41,7 @@ func TestAdaptiveDecaysOnFailureAndRecovers(t *testing.T) {
 	a := newAdaptive(2)
 	// Replica 1 fails repeatedly: score collapses to the floor.
 	for i := 0; i < 10; i++ {
-		a.Observe(1, time.Millisecond, OutcomeFailure)
+		a.failure(1)
 	}
 	s := a.Scores()
 	if s[1] != scoreMin {
@@ -64,10 +63,10 @@ func TestAdaptiveDecaysOnFailureAndRecovers(t *testing.T) {
 	}
 	// ...but equal-speed successes on replica 1 restore its score.
 	for i := 0; i < 5; i++ {
-		a.Observe(0, time.Millisecond, OutcomeSuccess)
+		a.success(0, time.Millisecond)
 	}
 	for i := 0; i < 50; i++ {
-		a.Observe(1, time.Millisecond, OutcomeSuccess)
+		a.success(1, time.Millisecond)
 	}
 	if s := a.Scores(); s[1] < 0.9 {
 		t.Fatalf("recovered replica score = %v, want ~1", s[1])
@@ -79,8 +78,8 @@ func TestAdaptiveDecaysOnFailureAndRecovers(t *testing.T) {
 func TestAdaptiveFavorsFasterReplica(t *testing.T) {
 	a := newAdaptive(2)
 	for i := 0; i < 50; i++ {
-		a.Observe(0, time.Millisecond, OutcomeSuccess)
-		a.Observe(1, 4*time.Millisecond, OutcomeSuccess)
+		a.success(0, time.Millisecond)
+		a.success(1, 4*time.Millisecond)
 	}
 	s := a.Scores()
 	if s[0] <= s[1] {
@@ -98,76 +97,28 @@ func TestAdaptiveFavorsFasterReplica(t *testing.T) {
 func TestAdaptiveScoreBounds(t *testing.T) {
 	a := newAdaptive(1)
 	// A replica absurdly faster than the reference must cap, not diverge.
-	a.Observe(0, time.Second, OutcomeSuccess) // sets the reference high
+	a.success(0, time.Second) // sets the reference high
 	for i := 0; i < 200; i++ {
-		a.Observe(0, time.Nanosecond, OutcomeSuccess)
+		a.success(0, time.Nanosecond)
 	}
 	if s := a.Scores()[0]; s > scoreMax {
 		t.Fatalf("score %v exceeds cap %v", s, scoreMax)
 	}
 }
 
-// TestP2CPrefersLessLoaded: with replica 0 carrying outstanding work, p2c
-// must route new picks to the idle replica.
-func TestP2CPrefersLessLoaded(t *testing.T) {
-	p := newP2C(2, 1)
-	// Load replica 0 with 5 outstanding attempts (no Observe yet).
-	for i := 0; i < 5; i++ {
-		p.out[0]++
-	}
+// TestAdaptiveCoversAllReplicas: the balancer eventually uses every healthy
+// replica — nobody is silently starved on a uniform fleet.
+func TestAdaptiveCoversAllReplicas(t *testing.T) {
+	a := newAdaptive(3)
 	counts := make(map[int]int)
-	for i := 0; i < 100; i++ {
-		pick := p.Pick(uint64(i), []int{0, 1})
-		counts[pick]++
-		p.Observe(pick, time.Millisecond, OutcomeSuccess) // return the slot
+	for k := 0; k < 300; k++ {
+		p := a.Pick(uint64(k), []int{0, 1, 2})
+		counts[p]++
+		a.success(p, time.Millisecond)
 	}
-	if counts[1] < 90 {
-		t.Fatalf("picks under load: %v, want nearly all on the idle replica", counts)
-	}
-}
-
-func TestP2CSingleCandidate(t *testing.T) {
-	p := newP2C(3, 1)
-	if got := p.Pick(0, []int{2}); got != 2 {
-		t.Fatalf("pick from singleton = %d, want 2", got)
-	}
-	p.Observe(2, time.Millisecond, OutcomeSuccess)
-}
-
-func TestRoundRobinCycles(t *testing.T) {
-	r := newRoundRobin()
-	cands := []int{0, 1, 2}
-	var got []int
-	for i := 0; i < 6; i++ {
-		got = append(got, r.Pick(uint64(i), cands))
-	}
-	want := []int{0, 1, 2, 0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("round-robin sequence %v, want %v", got, want)
-		}
-	}
-	// A shrunken candidate set (replica drained) still cycles cleanly.
-	for i := 0; i < 4; i++ {
-		if p := r.Pick(uint64(i), []int{0, 2}); p != 0 && p != 2 {
-			t.Fatalf("pick %d outside candidate set", p)
-		}
-	}
-}
-
-// TestBalancersCoverAllReplicas: every balancer eventually uses every
-// healthy replica — nobody is silently starved on a uniform fleet.
-func TestBalancersCoverAllReplicas(t *testing.T) {
-	for _, name := range []string{BalancerAdaptive, BalancerP2C, BalancerRoundRobin} {
-		b, err := NewBalancer(name, 3, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts := picks(b, []int{0, 1, 2}, 300)
-		for i := 0; i < 3; i++ {
-			if counts[i] == 0 {
-				t.Errorf("%s: replica %d never picked: %v", name, i, counts)
-			}
+	for i := 0; i < 3; i++ {
+		if counts[i] == 0 {
+			t.Errorf("replica %d never picked: %v", i, counts)
 		}
 	}
 }
@@ -253,7 +204,7 @@ func TestAdaptiveFailedReplicaLosesItsKeys(t *testing.T) {
 	a := newAdaptive(2)
 	before := adaptivePicks(a, []int{0, 1}, keys)
 	for i := 0; i < 10; i++ {
-		a.Observe(1, time.Millisecond, OutcomeFailure)
+		a.failure(1)
 	}
 	if s := a.Scores()[1]; s != scoreMin {
 		t.Fatalf("failed replica score = %v, want floor %v", s, scoreMin)

@@ -116,7 +116,7 @@ func TestChaosFlakyDisk(t *testing.T) {
 		fleet1[i] = chaosStore(t, dir)
 		urls1 = append(urls1, startChaosReplica(t, service.Options{Store: fleet1[i]}).URL)
 	}
-	_, ts := startChaosGateway(t, Options{Replicas: urls1, Balancer: BalancerRoundRobin})
+	_, ts := startChaosGateway(t, Options{Replicas: urls1})
 	got := postSweep(t, ts.URL, "ndjson")
 	if !bytes.Equal(got, want) {
 		t.Error("sweep over flaky disks differs from a single swarmd's bytes")
@@ -140,7 +140,7 @@ func TestChaosFlakyDisk(t *testing.T) {
 		fleet2[i] = chaosStore(t, dir)
 		urls2 = append(urls2, startChaosReplica(t, service.Options{Store: fleet2[i]}).URL)
 	}
-	_, ts2 := startChaosGateway(t, Options{Replicas: urls2, Balancer: BalancerRoundRobin})
+	_, ts2 := startChaosGateway(t, Options{Replicas: urls2})
 	got2 := postSweep(t, ts2.URL, "ndjson")
 	if !bytes.Equal(got2, want) {
 		t.Error("warm-restart sweep over a torn store differs from a single swarmd's bytes")
@@ -155,11 +155,11 @@ func TestChaosFlakyDisk(t *testing.T) {
 	}
 }
 
-// TestChaosStalledReplica: one replica answers every point 500ms late.
-// With hedging on, the gateway launches a second attempt against a
-// sibling once the straggler overshoots the fleet's latency profile, the
-// hedge wins, and the loser is canceled without poisoning the
-// straggler's health — slow is not down.
+// TestChaosStalledReplica: one replica stalls every point. With hedging
+// on, the gateway launches a second attempt against a sibling once the
+// straggler overshoots the fleet's latency profile, the hedge wins, and
+// the loser is canceled without poisoning the straggler's health or moving
+// its score — slow is not down, and losing a race says nothing.
 func TestChaosStalledReplica(t *testing.T) {
 	defer fault.Default.Reset()
 	single := startReplica(t, "")
@@ -168,11 +168,13 @@ func TestChaosStalledReplica(t *testing.T) {
 	r1 := startChaosReplica(t, service.Options{})
 	r2 := startChaosReplica(t, service.Options{})
 	straggler := startChaosReplica(t, service.Options{FaultScope: "straggler"})
+	// The seed homes three of the grid's points on the straggler, so the
+	// chaos round routes some points there even after the warm-up's
+	// latencies have moved the scores.
 	g, ts := startChaosGateway(t, Options{
 		Replicas: []string{r1.URL, r2.URL, straggler.URL},
-		Balancer: BalancerRoundRobin,
 		Hedge:    true,
-		Seed:     1,
+		Seed:     homeSeed(t, 3, 2, fig2Configs(t)[:3]...),
 	})
 
 	// Warm-up sweep: 8 healthy points seed the latency EWMA past the
@@ -181,6 +183,7 @@ func TestChaosStalledReplica(t *testing.T) {
 		t.Fatal("warm-up sweep differs from a single swarmd's bytes")
 	}
 	warm := g.Counters()
+	warmScore := warm.Scores[straggler.URL]
 
 	// The stall must overshoot the fleet's EWMA-p95 hedge delay on any
 	// machine speed (race-instrumented runs inflate the warm-up profile by
@@ -209,6 +212,11 @@ func TestChaosStalledReplica(t *testing.T) {
 	}
 	if c.Failed[straggler.URL] != 0 {
 		t.Errorf("stalled replica charged %d failures for canceled attempts", c.Failed[straggler.URL])
+	}
+	// Every straggler leg of the chaos round lost its race, and a lost
+	// race reports nothing to the balancer.
+	if s := c.Scores[straggler.URL]; s != warmScore {
+		t.Errorf("stalled replica's score moved %v -> %v though it only lost races", warmScore, s)
 	}
 }
 
@@ -260,10 +268,7 @@ func TestChaosMidStreamKill(t *testing.T) {
 	// it unbounded to prove the gateway path never touches it.)
 	fault.Default.Arm("victim.swarmd.stream.stall", fault.Plan{Every: 1, Fail: true})
 	r2 := startChaosReplica(t, service.Options{})
-	_, ts := startChaosGateway(t, Options{
-		Replicas: []string{victim.URL, r2.URL},
-		Balancer: BalancerRoundRobin,
-	})
+	_, ts := startChaosGateway(t, Options{Replicas: []string{victim.URL, r2.URL}})
 	got := postSweep(t, ts.URL, "ndjson")
 	if !bytes.Equal(got, want) {
 		t.Error("gateway sweep with a stream-killing replica differs from a single swarmd's bytes")
@@ -272,7 +277,7 @@ func TestChaosMidStreamKill(t *testing.T) {
 }
 
 // TestChaosOverloadBurst: one replica sheds every request with 429
-// "overloaded". The code is retryable, so the balancer routes around it;
+// "overloaded". The code is retryable, so the gateway routes around it;
 // after three consecutive rejections the circuit breaker opens and stops
 // even trying. Shedding is load, not sickness: the replica stays healthy
 // and is never demoted.
@@ -301,11 +306,15 @@ func TestChaosOverloadBurst(t *testing.T) {
 
 	g, ts := startChaosGateway(t, Options{
 		Replicas:         []string{r1.URL, busy.URL},
-		Balancer:         BalancerRoundRobin,
 		BreakerThreshold: 3,
 		BreakerCooldown:  time.Minute,
-		Seed:             1,
+		Seed:             homeSeed(t, 2, 1, fig2Configs(t)[:4]...),
 	})
+	// The seed homes four of the grid's points on the shedding replica,
+	// and held scores keep them there after its first rejections would
+	// have decayed its score, so at least three attempts meet the
+	// rejection.
+	g.bal = heldScores{newAdaptive(2)}
 	got := postSweep(t, ts.URL, "ndjson")
 	if !bytes.Equal(got, want) {
 		t.Error("sweep with an overloaded replica differs from a single swarmd's bytes")

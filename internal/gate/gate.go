@@ -4,8 +4,8 @@
 // (internal/front), which decomposes sweep grids point-by-point and
 // reassembles the canonical-order response; the gateway supplies the
 // point executor, which routes each point to one of a fleet of swarmd
-// replicas through a pluggable balancer (adaptive pheromone scoring keyed
-// by the point's configuration, power-of-two-choices, or round-robin) and
+// replicas by adaptive pheromone scoring keyed by the point's
+// configuration, so each point has a home replica whose LRU holds it, and
 // executes it with a per-point timeout and bounded retry-on-retryable
 // against a different replica. A replica's answer is relayed as the bytes
 // it sent, and only once it checks out as the canonical record of the
@@ -56,8 +56,8 @@ const (
 type Options struct {
 	// Replicas are the swarmd base URLs the gateway fans out over.
 	Replicas []string
-	// Balancer selects the routing policy: adaptive (default), p2c, or
-	// roundrobin.
+	// Balancer names the routing policy. Adaptive is the only one: New
+	// accepts "" or BalancerAdaptive and rejects any other name.
 	Balancer string
 	// PointTimeout bounds each routing attempt of one point (0 = none).
 	// A timed-out attempt counts as a failure and retries elsewhere.
@@ -91,9 +91,8 @@ type Options struct {
 	// fleet's ~p95 latency (EWMA-estimated) is raced on a second replica;
 	// the first success wins and the loser is canceled without scoring.
 	Hedge bool
-	// Seed perturbs the routing-key hash (so the adaptive balancer sends
-	// each point to a different home replica per seed), seeds p2c's PRNG,
-	// and seeds the jitter source (default 1).
+	// Seed perturbs the routing-key hash (so each seed gives each point
+	// another home replica) and seeds the jitter source (default 1).
 	Seed int64
 	// HTTPClient overrides the transport used for replica requests.
 	HTTPClient *http.Client
@@ -128,7 +127,7 @@ type replica struct {
 type Gateway struct {
 	opt      Options
 	replicas []*replica
-	bal      Balancer
+	bal      balancer
 	lat      latencyEWMA // fleet-wide success latency, drives the hedge delay
 
 	// every lists all replica indexes and others[x] every index but x:
@@ -183,13 +182,12 @@ func New(opt Options) (*Gateway, error) {
 	if opt.ProbeTimeout <= 0 {
 		opt.ProbeTimeout = DefaultProbeTimeout
 	}
-	bal, err := NewBalancer(opt.Balancer, len(opt.Replicas), opt.Seed)
-	if err != nil {
-		return nil, err
+	if opt.Balancer != "" && opt.Balancer != BalancerAdaptive {
+		return nil, fmt.Errorf("gate: unknown balancer %q (the only one is %s)", opt.Balancer, BalancerAdaptive)
 	}
 	g := &Gateway{
 		opt:         opt,
-		bal:         bal,
+		bal:         newAdaptive(len(opt.Replicas)),
 		rng:         rand.New(rand.NewSource(opt.Seed)),
 		siteAttempt: fault.Default.Site("gate.attempt"),
 		attemptVec: obs.NewHistVec("swarmgate_attempt_duration_seconds",
@@ -424,8 +422,8 @@ func (g *Gateway) runPoint(ctx context.Context, cfg front.Config) ([]byte, strin
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			// The caller's own context died mid-attempt: the attempt told
-			// us nothing about the replica (it was observed as Canceled,
-			// not Failure) — report the cancellation.
+			// us nothing about the replica (it moved no score) — report the
+			// cancellation.
 			return nil, "", api.Errorf(api.CodeShuttingDown, "%v", cerr)
 		}
 		if !ae.Retryable {
@@ -447,8 +445,8 @@ func (g *Gateway) runPoint(ctx context.Context, cfg front.Config) ([]byte, strin
 // attempt executes one routing attempt of a point against the primary
 // replica, optionally racing a hedge replica when the primary straggles
 // past the fleet's estimated p95 latency. The first success wins and
-// settles all scoring for its replica; the loser is canceled and observed
-// as OutcomeCanceled — no score movement, no failure counter, no breaker
+// settles all scoring for its replica; the loser is canceled and leaves no
+// mark on its replica — no score movement, no failure counter, no breaker
 // or health verdict — because losing a race says nothing about a replica's
 // health. A replica's body counts as a success only when front.CheckRun
 // finds it the canonical record of cfg; anything else is a malformed answer
@@ -531,7 +529,7 @@ func (g *Gateway) attempt(ctx context.Context, cfg front.Config, key uint64, rr 
 			switch {
 			case err == nil:
 				if won.CompareAndSwap(false, true) {
-					g.bal.Observe(idx, lat, OutcomeSuccess)
+					g.bal.success(idx, lat)
 					r.brk.success()
 					r.healthy.Store(true) // in-band recovery
 					g.lat.observe(lat)
@@ -551,26 +549,23 @@ func (g *Gateway) attempt(ctx context.Context, cfg front.Config, key uint64, rr 
 					return
 				}
 				// Both raced legs succeeded; the sibling won. Identical
-				// records either way (determinism), so this one is only a
-				// slot release.
-				g.bal.Observe(idx, lat, OutcomeCanceled)
+				// records either way (determinism), so this one only
+				// releases its breaker probe.
 				r.brk.canceled(probe)
 				finish(attemptCanceled, lat, g.histCanceled)
 				results <- outcome{idx: idx}
 			case ctx.Err() != nil || actx.Err() != nil:
 				// The caller disconnected, or the sibling won and canceled
 				// this leg: either way the attempt tells us nothing about
-				// the replica. Release the balancer slot without a score
-				// signal, leave failed counters, breaker, and health
-				// untouched — a disconnect must not poison pheromone scores
-				// or demote a healthy replica.
-				g.bal.Observe(idx, lat, OutcomeCanceled)
+				// the replica. Leave scores, failed counters, breaker, and
+				// health untouched — a disconnect must not poison pheromone
+				// scores or demote a healthy replica.
 				r.brk.canceled(probe)
 				finish(attemptCanceled, lat, g.histCanceled)
 				results <- outcome{idx: idx, err: api.Errorf(api.CodeShuttingDown, "%v", err)}
 			default:
 				ae := api.AsError(err)
-				g.bal.Observe(idx, lat, OutcomeFailure)
+				g.bal.failure(idx)
 				r.failed.Add(1)
 				r.brk.failure()
 				finish(attemptFailure, lat, g.histFailure)
@@ -664,11 +659,7 @@ func (g *Gateway) Counters() Counters {
 		st, opens := r.brk.snapshot()
 		c.BreakerState[r.url] = st.String()
 		c.BreakerOpens[r.url] = opens
-		if scores != nil {
-			c.Scores[r.url] = scores[i]
-		} else {
-			c.Scores[r.url] = 1
-		}
+		c.Scores[r.url] = scores[i]
 	}
 	return c
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"time"
 
 	"swarmhints/internal/fault"
 	"swarmhints/internal/front"
@@ -61,11 +60,10 @@ func (g *Gateway) exec(ctx context.Context, cfg front.Config) ([]byte, string, e
 
 // proxy runs one whole-request call against a replica, routed on the hash
 // of name (an experiment id) as a point is on its key, and re-routes
-// retryable failures to a different replica like any point. Every pick is
-// paired with exactly one balancer Observe, as the Balancer contract
-// requires. A proxied call's latency is not comparable with a point's, so
-// only a retryable (instance-bound) failure feeds the balancer a signal;
-// successes and deterministic rejections just return the slot.
+// retryable failures to a different replica like any point. A proxied
+// call's latency is not comparable with a point's, so only a retryable
+// (instance-bound) failure feeds the balancer a signal; successes and
+// deterministic rejections move no score.
 func (g *Gateway) proxy(ctx context.Context, name string, call func(*replica) error) *api.Error {
 	key := g.routeKey(name)
 	var lastErr *api.Error
@@ -76,18 +74,15 @@ func (g *Gateway) proxy(ctx context.Context, name string, call func(*replica) er
 		}
 		i := g.pick(key, last)
 		rep := g.replicas[i]
-		start := time.Now()
 		err := call(rep)
 		if err == nil {
-			g.bal.Observe(i, time.Since(start), OutcomeCanceled)
 			return nil
 		}
 		lastErr = api.AsError(err)
 		if ctx.Err() != nil || !lastErr.Retryable {
-			g.bal.Observe(i, time.Since(start), OutcomeCanceled)
 			break
 		}
-		g.bal.Observe(i, time.Since(start), OutcomeFailure)
+		g.bal.failure(i)
 		if lastErr.Code == api.CodeUnavailable || lastErr.Code == api.CodeShuttingDown {
 			rep.healthy.Store(false)
 		}

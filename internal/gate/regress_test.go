@@ -61,9 +61,12 @@ func TestGatewayEmptyReplicaResponse(t *testing.T) {
 
 	good := startReplica(t, "")
 	bad := emptyRecordReplica(t)
-	// Round-robin from the bad replica first: the very first attempt hits
-	// the zero-record answer and must re-route.
-	g, ts := startGateway(t, BalancerRoundRobin, bad.URL, good.URL)
+	// The point's home is the bad replica: the very first attempt hits the
+	// zero-record answer and must re-route.
+	g, ts := startChaosGateway(t, Options{
+		Replicas: []string{bad.URL, good.URL},
+		Seed:     homeSeed(t, 2, 0, runConfig(t, body)),
+	})
 
 	resp, got := post(t, ts.URL, "/v1/run", body)
 	if resp.StatusCode != http.StatusOK {
@@ -83,21 +86,25 @@ func TestGatewayEmptyReplicaResponse(t *testing.T) {
 	if !c.Healthy[bad.URL] {
 		t.Error("reachable replica demoted for an instance-bound internal error")
 	}
-	// A full sweep still reassembles, whatever share round-robin hands the
-	// misbehaving replica.
+	// A full sweep still reassembles, whatever share of the grid homes on
+	// the misbehaving replica.
 	if gotSweep, wantSweep := postSweep(t, ts.URL, "json"), fig2Golden(t); !bytes.Equal(gotSweep, wantSweep) {
 		t.Error("sweep through a zero-record replica differs from the golden export")
 	}
 }
 
-// checkReroutedRun runs body through a round-robin gateway over bad then a
-// well-behaved replica: the point must come back as exactly the single
-// swarmd bytes want, served by the good replica, with the bad attempt
-// counted as failed and the reachable bad replica still healthy.
+// checkReroutedRun runs body through a gateway over bad and a well-behaved
+// replica, seeded so the point's home is bad: the point must come back as
+// exactly the single swarmd bytes want, served by the good replica, with
+// the bad attempt counted as failed and the reachable bad replica still
+// healthy.
 func checkReroutedRun(t *testing.T, bad *httptest.Server, body string, want []byte) {
 	t.Helper()
 	good := startReplica(t, "")
-	g, ts := startGateway(t, BalancerRoundRobin, bad.URL, good.URL)
+	g, ts := startChaosGateway(t, Options{
+		Replicas: []string{bad.URL, good.URL},
+		Seed:     homeSeed(t, 2, 0, runConfig(t, body)),
+	})
 	resp, got := post(t, ts.URL, "/v1/run", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run with a misbehaving replica in the fleet: %d %s", resp.StatusCode, got)
@@ -225,7 +232,7 @@ func TestGatewayCanceledRequestKeepsScores(t *testing.T) {
 	t.Cleanup(slow.Close)
 	t.Cleanup(func() { close(done) }) // unpark before slow.Close waits on handlers
 
-	g, ts := startGateway(t, BalancerAdaptive, slow.URL)
+	g, ts := startGateway(t, slow.URL)
 	before := g.Counters()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -258,9 +265,8 @@ func TestGatewayCanceledRequestKeepsScores(t *testing.T) {
 		t.Errorf("swarmgate_replica_failed_total = %v after a client cancellation, want 0", failed)
 	}
 
-	// The slot the canceled attempt held is released: a fresh, uncanceled
-	// point through the same balancer still routes and completes. (Under
-	// p2c a leaked outstanding slot would skew every later pick.)
+	// A fresh, uncanceled point through the same gateway still routes and
+	// completes.
 	recovered.Store(true)
 	body, _, aerr2 := g.runPoint(context.Background(), cfg)
 	if aerr2 != nil {

@@ -51,10 +51,12 @@ func TestGatewayTraceRetryAcrossReplicas(t *testing.T) {
 	// even under the race detector.
 	fault.Default.Arm("laggard.swarmd.run.slow",
 		fault.Plan{Every: 1, Latency: 30 * time.Second})
+	// The seed homes the grid's first two points on the slow replica, so
+	// their first attempts time out there.
 	_, ts := startChaosGateway(t, Options{
 		Replicas:     []string{slow.URL, fast.URL},
-		Balancer:     BalancerRoundRobin,
 		PointTimeout: 2 * time.Second,
+		Seed:         homeSeed(t, 2, 0, fig2Configs(t)[:2]...),
 	})
 
 	resp, got := post(t, ts.URL, "/v1/sweep", strings.Replace(fig2SweepBody, "%s", "ndjson", 1))
