@@ -1,5 +1,5 @@
-// Command swarmgate fronts a fleet of swarmd replicas with an adaptive
-// routing gateway (internal/gate). It exposes the same /v1 surface as a
+// Command swarmgate fronts a fleet of swarmd replicas with a key-routed
+// gateway (internal/gate). It exposes the same /v1 surface as a
 // single swarmd — same swarm/api request/response contract, same error
 // envelope, byte-identical responses — but decomposes each sweep grid
 // into points and routes every point to its home replica, with per-point
@@ -22,12 +22,11 @@
 //	swarmgate -replicas ... -point-timeout 2m -retries 5
 //	swarmgate -replicas ... -breaker-threshold 3 -hedge=false   # failure-hardening knobs
 //
-// Routing is adaptive: pheromone-style scores, reinforced by success
-// latency and decayed multiplicatively on error/timeout, with each point
-// routed by weighted rendezvous hashing of its configuration key over the
-// scores, so a point keeps one home replica whose LRU holds it. Replicas
-// should share a -store directory so any replica can serve any previously
-// computed point.
+// Each point is routed by rendezvous hashing of its configuration key over
+// the replicas that are healthy and whose circuit breaker admits traffic,
+// so a point keeps one home replica whose LRU holds it, and only a drained
+// or tripped replica's points move. Replicas should share a -store
+// directory so any replica can serve any previously computed point.
 //
 // SIGINT/SIGTERM starts a graceful shutdown: the listener closes,
 // in-flight requests drain for -drain, then remaining routing is canceled.

@@ -5,21 +5,36 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"swarmhints/internal/service"
 )
 
-// heldScores is the adaptive balancer with its scores held at their
-// starting values: success and failure drop the latency and failure
-// signal, Pick is the adaptive balancer's own. The real scores drift with each point's
-// latency, and a drift can move a key whose two weights lie close; holding
-// them isolates the key-to-replica mapping the gateway builds. How the
-// mapping follows the scores is the balancer unit tests' subject.
-type heldScores struct{ *adaptive }
+// fig2RunBodies is the fig2-tiny grid as /v1/run bodies, in canonical
+// order.
+func fig2RunBodies() []string {
+	var bodies []string
+	for _, sched := range []string{"random", "stealing", "hints", "lbhints"} {
+		for _, cores := range []int{1, 4} {
+			bodies = append(bodies, fmt.Sprintf(`{"bench":"des","sched":%q,"cores":%d,"scale":"tiny"}`, sched, cores))
+		}
+	}
+	return bodies
+}
 
-func (heldScores) success(int, time.Duration) {}
-func (heldScores) failure(int)                {}
+// servedBy posts each body to the gateway at url as a /v1/run, one at a
+// time, and returns the replica that served each.
+func servedBy(t *testing.T, url string, bodies []string) []string {
+	t.Helper()
+	served := make([]string, len(bodies))
+	for i, body := range bodies {
+		resp, b := post(t, url, "/v1/run", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %s: status %d: %s", body, resp.StatusCode, b)
+		}
+		served[i] = resp.Header.Get(replicaHeader)
+	}
+	return served
+}
 
 // TestGatewayRoutesPointsByKey: the gateway routes each point by its
 // configuration key, so asking for the fig2-tiny grid twice sends every
@@ -40,27 +55,10 @@ func TestGatewayRoutesPointsByKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.bal = heldScores{newAdaptive(len(urls))}
 	ts := httptest.NewServer(g.Handler())
 	t.Cleanup(func() { ts.Close(); g.Close() })
 
-	var points []string
-	for _, sched := range []string{"random", "stealing", "hints", "lbhints"} {
-		for _, cores := range []int{1, 4} {
-			points = append(points, fmt.Sprintf(`{"bench":"des","sched":%q,"cores":%d,"scale":"tiny"}`, sched, cores))
-		}
-	}
-	pass := func() []string {
-		served := make([]string, len(points))
-		for i, body := range points {
-			resp, b := post(t, ts.URL, "/v1/run", body)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("run %s: status %d: %s", body, resp.StatusCode, b)
-			}
-			served[i] = resp.Header.Get(replicaHeader)
-		}
-		return served
-	}
+	points := fig2RunBodies()
 	counters := func() (hits, misses uint64) {
 		for _, s := range svcs {
 			c := s.Counters()
@@ -70,12 +68,12 @@ func TestGatewayRoutesPointsByKey(t *testing.T) {
 		return hits, misses
 	}
 
-	first := pass()
+	first := servedBy(t, ts.URL, points)
 	hits0, misses0 := counters()
 	if misses0 != uint64(len(points)) {
 		t.Fatalf("first pass: %d engine runs, want one per point (%d)", misses0, len(points))
 	}
-	second := pass()
+	second := servedBy(t, ts.URL, points)
 	hits1, misses1 := counters()
 	for i := range points {
 		if second[i] != first[i] {

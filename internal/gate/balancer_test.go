@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestNewBalancerNames: New builds a gateway under the empty balancer name
@@ -33,88 +32,12 @@ func TestNewBalancerNames(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDecaysOnFailureAndRecovers is the pheromone contract: errors
-// collapse a replica's score multiplicatively (floored, never to zero), a
-// degraded replica loses almost all traffic, and subsequent successes let
-// it re-earn its share.
-func TestAdaptiveDecaysOnFailureAndRecovers(t *testing.T) {
-	a := newAdaptive(2)
-	// Replica 1 fails repeatedly: score collapses to the floor.
-	for i := 0; i < 10; i++ {
-		a.failure(1)
-	}
-	s := a.Scores()
-	if s[1] != scoreMin {
-		t.Fatalf("failed replica score = %v, want floor %v", s[1], scoreMin)
-	}
-	if s[0] != scoreInit {
-		t.Fatalf("healthy replica score moved: %v", s[0])
-	}
-	// Routing now heavily favors replica 0...
-	counts := make(map[int]int)
-	for i := 0; i < 1000; i++ {
-		counts[a.Pick(uint64(i), []int{0, 1})]++
-	}
-	if counts[1] > 150 {
-		t.Fatalf("degraded replica still drew %d/1000 picks", counts[1])
-	}
-	if counts[1] == 0 {
-		t.Fatal("floor failed: degraded replica fully starved, cannot prove recovery")
-	}
-	// ...but equal-speed successes on replica 1 restore its score.
-	for i := 0; i < 5; i++ {
-		a.success(0, time.Millisecond)
-	}
-	for i := 0; i < 50; i++ {
-		a.success(1, time.Millisecond)
-	}
-	if s := a.Scores(); s[1] < 0.9 {
-		t.Fatalf("recovered replica score = %v, want ~1", s[1])
-	}
-}
-
-// TestAdaptiveFavorsFasterReplica: with one replica consistently 4x
-// faster, reinforcement should tilt traffic toward it.
-func TestAdaptiveFavorsFasterReplica(t *testing.T) {
-	a := newAdaptive(2)
-	for i := 0; i < 50; i++ {
-		a.success(0, time.Millisecond)
-		a.success(1, 4*time.Millisecond)
-	}
-	s := a.Scores()
-	if s[0] <= s[1] {
-		t.Fatalf("scores fast=%v slow=%v, want fast > slow", s[0], s[1])
-	}
-	counts := make(map[int]int)
-	for i := 0; i < 1000; i++ {
-		counts[a.Pick(uint64(i), []int{0, 1})]++
-	}
-	if counts[0] <= counts[1] {
-		t.Fatalf("picks fast=%d slow=%d, want majority on the fast replica", counts[0], counts[1])
-	}
-}
-
-func TestAdaptiveScoreBounds(t *testing.T) {
-	a := newAdaptive(1)
-	// A replica absurdly faster than the reference must cap, not diverge.
-	a.success(0, time.Second) // sets the reference high
-	for i := 0; i < 200; i++ {
-		a.success(0, time.Nanosecond)
-	}
-	if s := a.Scores()[0]; s > scoreMax {
-		t.Fatalf("score %v exceeds cap %v", s, scoreMax)
-	}
-}
-
-// TestAdaptiveCoversAllReplicas: the balancer eventually uses every healthy
-// replica — nobody is silently starved on a uniform fleet.
+// TestAdaptiveCoversAllReplicas: pickHome eventually uses every candidate —
+// nobody is silently starved on a uniform fleet.
 func TestAdaptiveCoversAllReplicas(t *testing.T) {
-	a := newAdaptive(3)
 	counts := make(map[int]int)
-	for k := 0; k < 300; k++ {
-		p := a.Pick(uint64(k), []int{0, 1, 2})
+	for _, p := range homes([]int{0, 1, 2}, 300) {
 		counts[p]++
-		a.success(p, time.Millisecond)
 	}
 	for i := 0; i < 3; i++ {
 		if counts[i] == 0 {
@@ -123,24 +46,22 @@ func TestAdaptiveCoversAllReplicas(t *testing.T) {
 	}
 }
 
-// adaptivePicks routes keys 0..n-1 over candidates and returns each key's
-// replica.
-func adaptivePicks(a *adaptive, candidates []int, n int) []int {
+// homes routes keys 0..n-1 over candidates and returns each key's replica.
+func homes(candidates []int, n int) []int {
 	out := make([]int, n)
 	for k := range out {
-		out[k] = a.Pick(uint64(k), candidates)
+		out[k] = pickHome(uint64(k), candidates)
 	}
 	return out
 }
 
-// TestAdaptiveKeyIsSticky: with the scores steady, a key picks the same
-// replica on every call — the affinity that lets each replica's LRU hold
-// its own share of the working set.
+// TestAdaptiveKeyIsSticky: a key picks the same replica on every call — the
+// affinity that lets each replica's LRU hold its own share of the working
+// set.
 func TestAdaptiveKeyIsSticky(t *testing.T) {
-	a := newAdaptive(3)
-	first := adaptivePicks(a, []int{0, 1, 2}, 1000)
+	first := homes([]int{0, 1, 2}, 1000)
 	for call := 0; call < 5; call++ {
-		for k, p := range adaptivePicks(a, []int{0, 1, 2}, 1000) {
+		for k, p := range homes([]int{0, 1, 2}, 1000) {
 			if p != first[k] {
 				t.Fatalf("call %d: key %d picked %d, first picked %d", call, k, p, first[k])
 			}
@@ -148,26 +69,18 @@ func TestAdaptiveKeyIsSticky(t *testing.T) {
 	}
 }
 
-// TestAdaptiveKeySharesFollowScores: across many keys, replica i draws
-// score_i/Σscore of them, the split a score-proportional random pick
-// gives.
-func TestAdaptiveKeySharesFollowScores(t *testing.T) {
+// TestPickSplitsKeysEvenly: across many keys, each of n candidates draws
+// 1/n of them.
+func TestPickSplitsKeysEvenly(t *testing.T) {
 	const keys = 10000
-	for _, scores := range [][]float64{{1, 1}, {4, 1}, {1, 1, 1}, {4, 1, 1}} {
-		a := newAdaptive(len(scores))
-		copy(a.score, scores)
-		total := 0.0
-		for _, s := range scores {
-			total += s
-		}
-		counts := make([]int, len(scores))
-		for _, p := range adaptivePicks(a, []int{0, 1, 2}[:len(scores)], keys) {
+	for _, n := range []int{2, 3} {
+		counts := make([]int, n)
+		for _, p := range homes([]int{0, 1, 2}[:n], keys) {
 			counts[p]++
 		}
-		for i, s := range scores {
-			got, want := float64(counts[i])/keys, s/total
-			if math.Abs(got-want) > 0.03 {
-				t.Errorf("scores %v: replica %d drew %.3f of keys, want %.3f±0.03", scores, i, got, want)
+		for i, c := range counts {
+			if got, want := float64(c)/keys, 1/float64(n); math.Abs(got-want) > 0.03 {
+				t.Errorf("%d replicas: replica %d drew %.3f of keys, want %.3f±0.03", n, i, got, want)
 			}
 		}
 	}
@@ -178,10 +91,8 @@ func TestAdaptiveKeySharesFollowScores(t *testing.T) {
 // the keys that had picked it; every other key stays home.
 func TestAdaptiveDroppedCandidateMovesOnlyItsKeys(t *testing.T) {
 	const keys = 10000
-	a := newAdaptive(3)
-	copy(a.score, []float64{1, 2, 0.5})
-	before := adaptivePicks(a, []int{0, 1, 2}, keys)
-	after := adaptivePicks(a, []int{0, 2}, keys)
+	before := homes([]int{0, 1, 2}, keys)
+	after := homes([]int{0, 2}, keys)
 	moved := 0
 	for k := range before {
 		switch {
@@ -193,42 +104,6 @@ func TestAdaptiveDroppedCandidateMovesOnlyItsKeys(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("no key had picked the dropped replica")
-	}
-}
-
-// TestAdaptiveFailedReplicaLosesItsKeys: a replica decayed to the score
-// floor by failures gives up nearly all of its keys — to the others, never
-// the reverse — while the floor leaves it a trickle to prove recovery.
-func TestAdaptiveFailedReplicaLosesItsKeys(t *testing.T) {
-	const keys = 10000
-	a := newAdaptive(2)
-	before := adaptivePicks(a, []int{0, 1}, keys)
-	for i := 0; i < 10; i++ {
-		a.failure(1)
-	}
-	if s := a.Scores()[1]; s != scoreMin {
-		t.Fatalf("failed replica score = %v, want floor %v", s, scoreMin)
-	}
-	after := adaptivePicks(a, []int{0, 1}, keys)
-	had, kept := 0, 0
-	for k := range before {
-		if before[k] == 0 && after[k] != 0 {
-			t.Fatalf("key %d moved onto the failing replica", k)
-		}
-		if before[k] == 1 {
-			had++
-			if after[k] == 1 {
-				kept++
-			}
-		}
-	}
-	// At the floor the replica's expected share is scoreMin/(1+scoreMin),
-	// under 5% of keys, so it keeps under a tenth of the half it held.
-	if had == 0 || float64(kept) > 0.15*float64(had) {
-		t.Fatalf("failed replica kept %d of its %d keys", kept, had)
-	}
-	if kept == 0 {
-		t.Fatal("floor failed: degraded replica kept no key, cannot prove recovery")
 	}
 }
 

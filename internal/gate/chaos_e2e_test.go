@@ -158,8 +158,8 @@ func TestChaosFlakyDisk(t *testing.T) {
 // TestChaosStalledReplica: one replica stalls every point. With hedging
 // on, the gateway launches a second attempt against a sibling once the
 // straggler overshoots the fleet's latency profile, the hedge wins, and
-// the loser is canceled without poisoning the straggler's health or moving
-// its score — slow is not down, and losing a race says nothing.
+// the loser is canceled without poisoning the straggler's health or
+// breaker — slow is not down, and losing a race says nothing.
 func TestChaosStalledReplica(t *testing.T) {
 	defer fault.Default.Reset()
 	single := startReplica(t, "")
@@ -169,8 +169,7 @@ func TestChaosStalledReplica(t *testing.T) {
 	r2 := startChaosReplica(t, service.Options{})
 	straggler := startChaosReplica(t, service.Options{FaultScope: "straggler"})
 	// The seed homes three of the grid's points on the straggler, so the
-	// chaos round routes some points there even after the warm-up's
-	// latencies have moved the scores.
+	// chaos round routes them there.
 	g, ts := startChaosGateway(t, Options{
 		Replicas: []string{r1.URL, r2.URL, straggler.URL},
 		Hedge:    true,
@@ -183,7 +182,6 @@ func TestChaosStalledReplica(t *testing.T) {
 		t.Fatal("warm-up sweep differs from a single swarmd's bytes")
 	}
 	warm := g.Counters()
-	warmScore := warm.Scores[straggler.URL]
 
 	// The stall must overshoot the fleet's EWMA-p95 hedge delay on any
 	// machine speed (race-instrumented runs inflate the warm-up profile by
@@ -214,9 +212,13 @@ func TestChaosStalledReplica(t *testing.T) {
 		t.Errorf("stalled replica charged %d failures for canceled attempts", c.Failed[straggler.URL])
 	}
 	// Every straggler leg of the chaos round lost its race, and a lost
-	// race reports nothing to the balancer.
-	if s := c.Scores[straggler.URL]; s != warmScore {
-		t.Errorf("stalled replica's score moved %v -> %v though it only lost races", warmScore, s)
+	// race reports nothing to the breaker.
+	if c.BreakerOpens[straggler.URL] != warm.BreakerOpens[straggler.URL] {
+		t.Errorf("stalled replica's breaker opened %d -> %d times though it only lost races",
+			warm.BreakerOpens[straggler.URL], c.BreakerOpens[straggler.URL])
+	}
+	if st := c.BreakerState[straggler.URL]; st != "closed" {
+		t.Errorf("stalled replica's breaker %q though it only lost races, want closed", st)
 	}
 }
 
@@ -311,10 +313,8 @@ func TestChaosOverloadBurst(t *testing.T) {
 		Seed:             homeSeed(t, 2, 1, fig2Configs(t)[:4]...),
 	})
 	// The seed homes four of the grid's points on the shedding replica,
-	// and held scores keep them there after its first rejections would
-	// have decayed its score, so at least three attempts meet the
-	// rejection.
-	g.bal = heldScores{newAdaptive(2)}
+	// and a rejection does not move them off it, so at least three
+	// attempts meet the rejection.
 	got := postSweep(t, ts.URL, "ndjson")
 	if !bytes.Equal(got, want) {
 		t.Error("sweep with an overloaded replica differs from a single swarmd's bytes")

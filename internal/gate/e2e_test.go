@@ -68,13 +68,12 @@ func startGateway(t *testing.T, replicas ...string) (*Gateway, *httptest.Server)
 }
 
 // homeSeed returns the first gateway seed under which every point in cfgs
-// has replica as its home in a fleet of n. Every score starts at 1.0, so
-// until attempts settle, a point's home depends only on the seed, the
-// point's key and n: a test that needs a point's first attempt to land on
-// a chosen replica starts its gateway under this seed.
+// has replica as its home in a fleet of n. A point's home depends only on
+// the seed, the point's key and which replicas are candidates: a test that
+// needs a point's first attempt to land on a chosen replica of a healthy
+// fleet starts its gateway under this seed.
 func homeSeed(t *testing.T, n, replica int, cfgs ...front.Config) int64 {
 	t.Helper()
-	a := newAdaptive(n)
 	every := make([]int, n)
 	for i := range every {
 		every[i] = i
@@ -83,7 +82,7 @@ func homeSeed(t *testing.T, n, replica int, cfgs ...front.Config) int64 {
 		g := &Gateway{opt: Options{Seed: seed}}
 		home := true
 		for _, cfg := range cfgs {
-			home = home && a.Pick(g.routeKey(cfg.Key()), every) == replica
+			home = home && pickHome(g.routeKey(cfg.Key()), every) == replica
 		}
 		if home {
 			return seed
@@ -227,8 +226,7 @@ func flakyReplica(t *testing.T, backend *httptest.Server) *httptest.Server {
 // golden bytes — in-flight points on the dead replica re-route to the
 // survivors — and the failure must be visible in swarmgate_replica_failed_total.
 // (The gateway seed homes the grid's first three points on the doomed
-// replica, and held scores keep them there, so it receives at least two
-// and one is cut mid-flight.)
+// replica, so it receives at least two and one is cut mid-flight.)
 func TestGatewayReplicaKilledMidSweep(t *testing.T) {
 	dir := t.TempDir()
 	r1, r2 := startReplica(t, dir), startReplica(t, dir)
@@ -238,7 +236,6 @@ func TestGatewayReplicaKilledMidSweep(t *testing.T) {
 		Replicas: []string{r1.URL, r2.URL, flaky.URL},
 		Seed:     homeSeed(t, 3, 2, fig2Configs(t)[:3]...),
 	})
-	g.bal = heldScores{newAdaptive(3)}
 	got := postSweep(t, ts.URL, "ndjson")
 
 	// The stream is complete — trailer and all — and reassembles to golden.
@@ -376,8 +373,7 @@ func TestGatewayErrorEnvelope(t *testing.T) {
 
 // TestGatewayExperimentProxy: listing and running experiments through the
 // gateway, with its balancer named explicitly, returns exactly what a
-// replica returns, and a proxied call that succeeds moves no score, so the
-// replicas' scores end where they started.
+// replica returns, and no proxied call counts as a failed attempt.
 func TestGatewayExperimentProxy(t *testing.T) {
 	t.Run(BalancerAdaptive, func(t *testing.T) {
 		single := startReplica(t, "")
@@ -407,9 +403,9 @@ func TestGatewayExperimentProxy(t *testing.T) {
 		if !bytes.Equal(got, fig2Golden(t)) {
 			t.Error("gateway-proxied fig2 differs from the golden export")
 		}
-		for u, score := range g.Counters().Scores {
-			if score != 1 {
-				t.Errorf("replica %s score = %v after the proxied calls, want 1", u, score)
+		for u, n := range g.Counters().Failed {
+			if n != 0 {
+				t.Errorf("replica %s failed %d attempts during the proxied calls, want 0", u, n)
 			}
 		}
 	})

@@ -4,20 +4,21 @@
 // (internal/front), which decomposes sweep grids point-by-point and
 // reassembles the canonical-order response; the gateway supplies the
 // point executor, which routes each point to one of a fleet of swarmd
-// replicas by adaptive pheromone scoring keyed by the point's
-// configuration, so each point has a home replica whose LRU holds it, and
-// executes it with a per-point timeout and bounded retry-on-retryable
-// against a different replica. A replica's answer is relayed as the bytes
+// replicas by rendezvous hashing of the point's configuration key, so
+// each point has a home replica whose LRU holds it, and executes it with
+// a per-point timeout and bounded retry-on-retryable against a different
+// replica. A replica's answer is relayed as the bytes
 // it sent, and only once it checks out as the canonical record of the
 // point asked for — so gateway output is byte-identical to a single
 // swarmd's for the same request.
 //
-// Health is maintained two ways: a background prober polls every
-// replica's /healthz, and in-band outcomes adjust both the health flag
-// (transport failures and shutting_down responses drain a replica) and
-// the balancer's scores. A replica killed mid-sweep therefore stops
-// receiving new points, its in-flight points are re-routed to surviving
-// replicas, and the sweep still completes.
+// A replica leaves the candidate set two ways: its health flag drops
+// (a background prober polls every replica's /healthz, and in-band
+// transport failures and shutting_down responses drain it), or its
+// circuit breaker opens after a run of consecutive failures. A replica
+// killed mid-sweep therefore stops receiving new points, its in-flight
+// points are re-routed to surviving replicas, and the sweep still
+// completes.
 package gate
 
 import (
@@ -56,8 +57,9 @@ const (
 type Options struct {
 	// Replicas are the swarmd base URLs the gateway fans out over.
 	Replicas []string
-	// Balancer names the routing policy. Adaptive is the only one: New
-	// accepts "" or BalancerAdaptive and rejects any other name.
+	// Balancer names the routing policy. The key-routed policy is the
+	// only one: New accepts "" or BalancerAdaptive and rejects any other
+	// name.
 	Balancer string
 	// PointTimeout bounds each routing attempt of one point (0 = none).
 	// A timed-out attempt counts as a failure and retries elsewhere.
@@ -89,7 +91,7 @@ type Options struct {
 	RetryBackoff time.Duration
 	// Hedge enables straggler hedging: a point still unanswered after the
 	// fleet's ~p95 latency (EWMA-estimated) is raced on a second replica;
-	// the first success wins and the loser is canceled without scoring.
+	// the first success wins and the loser is canceled without a verdict.
 	Hedge bool
 	// Seed perturbs the routing-key hash (so each seed gives each point
 	// another home replica) and seeds the jitter source (default 1).
@@ -127,7 +129,6 @@ type replica struct {
 type Gateway struct {
 	opt      Options
 	replicas []*replica
-	bal      balancer
 	lat      latencyEWMA // fleet-wide success latency, drives the hedge delay
 
 	// every lists all replica indexes and others[x] every index but x:
@@ -187,7 +188,6 @@ func New(opt Options) (*Gateway, error) {
 	}
 	g := &Gateway{
 		opt:         opt,
-		bal:         newAdaptive(len(opt.Replicas)),
 		rng:         rand.New(rand.NewSource(opt.Seed)),
 		siteAttempt: fault.Default.Site("gate.attempt"),
 		attemptVec: obs.NewHistVec("swarmgate_attempt_duration_seconds",
@@ -315,7 +315,7 @@ func (g *Gateway) ProbeOnce(ctx context.Context) {
 // through in-band successes.
 func (g *Gateway) pick(key uint64, exclude int) int {
 	if cands := g.allAdmitted(exclude); cands != nil {
-		return g.bal.Pick(key, cands)
+		return pickHome(key, cands)
 	}
 	var admitted, healthy, all []int
 	for i, r := range g.replicas {
@@ -346,7 +346,7 @@ func (g *Gateway) pick(key uint64, exclude int) int {
 	if len(cands) == 0 {
 		return exclude // single-replica fleet: no alternative exists
 	}
-	return g.bal.Pick(key, cands)
+	return pickHome(key, cands)
 }
 
 // allAdmitted returns the shared candidate set of every replica but
@@ -369,7 +369,7 @@ func (g *Gateway) allAdmitted(exclude int) []int {
 }
 
 // routeKey hashes s — a point's canonical configuration key, or an
-// experiment id — into the balancer's routing hint: 64-bit FNV-1a over the
+// experiment id — into pick's routing hint: 64-bit FNV-1a over the
 // bytes, mixed with the gateway seed.
 func (g *Gateway) routeKey(s string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
@@ -422,7 +422,7 @@ func (g *Gateway) runPoint(ctx context.Context, cfg front.Config) ([]byte, strin
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			// The caller's own context died mid-attempt: the attempt told
-			// us nothing about the replica (it moved no score) — report the
+			// us nothing about the replica (it left no mark) — report the
 			// cancellation.
 			return nil, "", api.Errorf(api.CodeShuttingDown, "%v", cerr)
 		}
@@ -445,10 +445,10 @@ func (g *Gateway) runPoint(ctx context.Context, cfg front.Config) ([]byte, strin
 // attempt executes one routing attempt of a point against the primary
 // replica, optionally racing a hedge replica when the primary straggles
 // past the fleet's estimated p95 latency. The first success wins and
-// settles all scoring for its replica; the loser is canceled and leaves no
-// mark on its replica — no score movement, no failure counter, no breaker
-// or health verdict — because losing a race says nothing about a replica's
-// health. A replica's body counts as a success only when front.CheckRun
+// settles its replica's standing; the loser is canceled and leaves no mark
+// on its replica — no failure counter, no breaker or health verdict —
+// because losing a race says nothing about a replica's health. A
+// replica's body counts as a success only when front.CheckRun
 // finds it the canonical record of cfg; anything else is a malformed answer
 // from a reachable instance — retryable elsewhere, without a health
 // demotion. It returns the winning body and replica index, or the first
@@ -529,7 +529,6 @@ func (g *Gateway) attempt(ctx context.Context, cfg front.Config, key uint64, rr 
 			switch {
 			case err == nil:
 				if won.CompareAndSwap(false, true) {
-					g.bal.success(idx, lat)
 					r.brk.success()
 					r.healthy.Store(true) // in-band recovery
 					g.lat.observe(lat)
@@ -557,15 +556,14 @@ func (g *Gateway) attempt(ctx context.Context, cfg front.Config, key uint64, rr 
 			case ctx.Err() != nil || actx.Err() != nil:
 				// The caller disconnected, or the sibling won and canceled
 				// this leg: either way the attempt tells us nothing about
-				// the replica. Leave scores, failed counters, breaker, and
-				// health untouched — a disconnect must not poison pheromone
-				// scores or demote a healthy replica.
+				// the replica. Leave failed counters, breaker, and health
+				// untouched — a disconnect must not trip a breaker or demote
+				// a healthy replica.
 				r.brk.canceled(probe)
 				finish(attemptCanceled, lat, g.histCanceled)
 				results <- outcome{idx: idx, err: api.Errorf(api.CodeShuttingDown, "%v", err)}
 			default:
 				ae := api.AsError(err)
-				g.bal.failure(idx)
 				r.failed.Add(1)
 				r.brk.failure()
 				finish(attemptFailure, lat, g.histFailure)
@@ -623,7 +621,6 @@ type Counters struct {
 	Failed       map[string]uint64
 	Inflight     map[string]int64
 	Healthy      map[string]bool
-	Scores       map[string]float64
 	BreakerState map[string]string // closed | open | half-open
 	BreakerOpens map[string]uint64 // lifetime breaker trips
 
@@ -641,7 +638,6 @@ func (g *Gateway) Counters() Counters {
 		Failed:       make(map[string]uint64, len(g.replicas)),
 		Inflight:     make(map[string]int64, len(g.replicas)),
 		Healthy:      make(map[string]bool, len(g.replicas)),
-		Scores:       make(map[string]float64, len(g.replicas)),
 		BreakerState: make(map[string]string, len(g.replicas)),
 		BreakerOpens: make(map[string]uint64, len(g.replicas)),
 		Points:       g.points.Load(),
@@ -649,8 +645,7 @@ func (g *Gateway) Counters() Counters {
 		Hedged:       g.hedged.Load(),
 		HedgeWins:    g.hedgeWins.Load(),
 	}
-	scores := g.bal.Scores()
-	for i, r := range g.replicas {
+	for _, r := range g.replicas {
 		c.Routed[r.url] = r.routed.Load()
 		c.Retried[r.url] = r.retried.Load()
 		c.Failed[r.url] = r.failed.Load()
@@ -659,7 +654,6 @@ func (g *Gateway) Counters() Counters {
 		st, opens := r.brk.snapshot()
 		c.BreakerState[r.url] = st.String()
 		c.BreakerOpens[r.url] = opens
-		c.Scores[r.url] = scores[i]
 	}
 	return c
 }
@@ -703,7 +697,6 @@ func (g *Gateway) PromMetrics() []metrics.PromMetric {
 		metrics.PromPerLabel("swarmgate_replica_routed_total", "Attempts routed to each replica (retries included).", "replica", c.Routed),
 		metrics.PromPerLabel("swarmgate_replica_retried_total", "Retry attempts routed to each replica after a failure elsewhere.", "replica", c.Retried),
 		metrics.PromPerLabel("swarmgate_replica_failed_total", "Attempts that failed on each replica.", "replica", c.Failed),
-		metrics.PromPerLabelGauge("swarmgate_replica_score", "Balancer desirability score per replica (adaptive: pheromone level).", "replica", c.Scores),
 		metrics.PromPerLabelGauge("swarmgate_replica_healthy", "Replica health (1 = in the candidate set).", "replica", healthy),
 		metrics.PromPerLabelGauge("swarmgate_replica_inflight", "Attempts in flight per replica.", "replica", inflight),
 		g.attemptVec.Prom(),

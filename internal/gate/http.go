@@ -60,10 +60,7 @@ func (g *Gateway) exec(ctx context.Context, cfg front.Config) ([]byte, string, e
 
 // proxy runs one whole-request call against a replica, routed on the hash
 // of name (an experiment id) as a point is on its key, and re-routes
-// retryable failures to a different replica like any point. A proxied
-// call's latency is not comparable with a point's, so only a retryable
-// (instance-bound) failure feeds the balancer a signal; successes and
-// deterministic rejections move no score.
+// retryable failures to a different replica like any point.
 func (g *Gateway) proxy(ctx context.Context, name string, call func(*replica) error) *api.Error {
 	key := g.routeKey(name)
 	var lastErr *api.Error
@@ -82,7 +79,6 @@ func (g *Gateway) proxy(ctx context.Context, name string, call func(*replica) er
 		if ctx.Err() != nil || !lastErr.Retryable {
 			break
 		}
-		g.bal.failure(i)
 		if lastErr.Code == api.CodeUnavailable || lastErr.Code == api.CodeShuttingDown {
 			rep.healthy.Store(false)
 		}

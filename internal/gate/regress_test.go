@@ -13,6 +13,7 @@ import (
 
 	"swarmhints/internal/bench"
 	"swarmhints/internal/exp"
+	"swarmhints/internal/fault"
 	"swarmhints/internal/front"
 	"swarmhints/internal/service"
 	"swarmhints/swarm"
@@ -205,12 +206,12 @@ func TestGatewayRejectsMalformedRecords(t *testing.T) {
 	})
 }
 
-// TestGatewayCanceledRequestKeepsScores: a client disconnect mid-attempt
+// TestGatewayCanceledRequestLeavesNoMark: a client disconnect mid-attempt
 // is not evidence about the replica. The attempt must not count as a
-// replica failure, must not decay the balancer score, and must not demote
-// health — before the fix a canceled long point decayed the adaptive score
-// and bumped failed_total exactly as a real replica error would.
-func TestGatewayCanceledRequestKeepsScores(t *testing.T) {
+// replica failure, must not move the replica's breaker, and must not
+// demote health — before the fix a canceled long point bumped failed_total
+// exactly as a real replica error would.
+func TestGatewayCanceledRequestLeavesNoMark(t *testing.T) {
 	// The replica parks every /v1/run until the caller gives up, then cuts
 	// the connection — a healthy-but-slow instance seen by a client that
 	// hung up. Once "recovered", it serves normally (in-process service).
@@ -254,9 +255,9 @@ func TestGatewayCanceledRequestKeepsScores(t *testing.T) {
 		t.Errorf("failed count moved %d -> %d on a client cancellation",
 			before.Failed[slow.URL], after.Failed[slow.URL])
 	}
-	if after.Scores[slow.URL] != before.Scores[slow.URL] {
-		t.Errorf("balancer score moved %v -> %v on a client cancellation",
-			before.Scores[slow.URL], after.Scores[slow.URL])
+	if after.BreakerState[slow.URL] != "closed" || after.BreakerOpens[slow.URL] != before.BreakerOpens[slow.URL] {
+		t.Errorf("breaker %q after %d -> %d opens on a client cancellation, want closed and unmoved",
+			after.BreakerState[slow.URL], before.BreakerOpens[slow.URL], after.BreakerOpens[slow.URL])
 	}
 	if !after.Healthy[slow.URL] {
 		t.Error("replica demoted by a client cancellation")
@@ -274,5 +275,56 @@ func TestGatewayCanceledRequestKeepsScores(t *testing.T) {
 	}
 	if err := front.CheckRun(cfg, body); err != nil {
 		t.Errorf("follow-up point returned a malformed record: %v", err)
+	}
+}
+
+// TestGatewayOverloadKeepsHomes: a retryable 429 "overloaded" is load, not
+// sickness. It counts on the replica's breaker and retries elsewhere, but
+// it must not move the shedding replica's home points: once the burst
+// passes — before the breaker's threshold — the points homed there come
+// back to it. Before the fix each rejection cut the replica's routing
+// weight, so two of them sent its remaining points to the sibling.
+func TestGatewayOverloadKeepsHomes(t *testing.T) {
+	defer fault.Default.Reset()
+	r1 := startChaosReplica(t, service.Options{})
+	busy := startChaosReplica(t, service.Options{FaultScope: "busy"})
+	// The seed homes the grid's first four points on the shedding replica.
+	bodies := fig2RunBodies()[:4]
+	var cfgs []front.Config
+	for _, body := range bodies {
+		cfgs = append(cfgs, runConfig(t, body))
+	}
+	g, ts := startChaosGateway(t, Options{
+		Replicas:         []string{r1.URL, busy.URL},
+		BreakerThreshold: 3,
+		BreakerCooldown:  time.Minute,
+		Seed:             homeSeed(t, 2, 1, cfgs...),
+	})
+	// Two rejections: fewer than the breaker's threshold, so it never
+	// opens.
+	fault.Default.Arm("busy.swarmd.overload", fault.Plan{Every: 1, Fail: true, Times: 2})
+
+	first := servedBy(t, ts.URL, bodies)
+	second := servedBy(t, ts.URL, bodies)
+	for i, body := range bodies {
+		// The first two points met the rejections and were served by the
+		// sibling; every later request finds its home replica.
+		if i < 2 && first[i] != r1.URL {
+			t.Errorf("first pass, point %s: served by %s, want the sibling %s after a 429", body, first[i], r1.URL)
+		}
+		if i >= 2 && first[i] != busy.URL {
+			t.Errorf("first pass, point %s: served by %s, want its home %s", body, first[i], busy.URL)
+		}
+		if second[i] != busy.URL {
+			t.Errorf("second pass, point %s: served by %s, want its home %s", body, second[i], busy.URL)
+		}
+	}
+	c := g.Counters()
+	if c.Failed[busy.URL] != 2 {
+		t.Errorf("shedding replica charged %d failed attempts, want the 2 rejections", c.Failed[busy.URL])
+	}
+	if c.BreakerOpens[busy.URL] != 0 || !c.Healthy[busy.URL] {
+		t.Errorf("shedding replica: breaker opened %d times, healthy %v; want 0 and healthy",
+			c.BreakerOpens[busy.URL], c.Healthy[busy.URL])
 	}
 }
