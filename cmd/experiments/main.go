@@ -154,7 +154,7 @@ func main() {
 		fmt.Fprintln(tableOut)
 	}
 	if output.Enabled() {
-		if err := output.Write(runner.Export()); err != nil {
+		if err := output.Write(os.Stdout, runner.Export()); err != nil {
 			fatal(err)
 		}
 	}

@@ -32,16 +32,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"swarmhints/internal/cliutil"
@@ -92,57 +85,13 @@ func main() {
 			"dir", st.Dir(), "records", c.Records, "bytes", c.Bytes, "capBytes", st.MaxBytes())
 	}
 
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fatal("debug listener", err)
-		}
-		slog.Info("debug listener up (pprof + traces)", "component", "swarmd", "addr", dln.Addr().String())
-		go func() {
-			if err := http.Serve(dln, obs.DebugHandler(obs.Default)); err != nil {
-				slog.Error("debug listener failed", "component", "swarmd", "err", err)
-			}
-		}()
-	}
-
 	svc := service.New(service.Options{
 		Workers: *workers, CacheEntries: *cache, Validate: *validate, Store: st,
 		MaxPending: *maxPending, FaultAdmin: *faultAdmin,
 	})
-	srv := &http.Server{
-		Handler: svc.Handler(),
-		// Requests inherit the service lifetime: Close cancels them all.
-		BaseContext: func(net.Listener) context.Context { return svc.Context() },
+	// Requests inherit the service lifetime: Close cancels them all.
+	if err := cliutil.Serve("swarmd", *addr, *debugAddr, svc.Handler(), svc.Context(), svc.Close, *drain,
+		"workers", svc.Workers(), "cacheEntries", *cache, "obs", *obsOn); err != nil {
+		os.Exit(1)
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal("listen", err)
-	}
-	slog.Info("listening", "component", "swarmd", "addr", ln.Addr().String(),
-		"workers", svc.Workers(), "cacheEntries", *cache, "obs", *obsOn)
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		fatal("serve", err)
-	case <-ctx.Done():
-	}
-
-	// Graceful shutdown: stop accepting, drain in-flight requests, and cut
-	// off stragglers by canceling the service context at the drain deadline.
-	slog.Info("shutting down", "component", "swarmd", "drain", *drain)
-	killTimer := time.AfterFunc(*drain, svc.Close)
-	defer killTimer.Stop()
-	sdCtx, cancel := context.WithTimeout(context.Background(), *drain+5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sdCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		slog.Error("shutdown", "component", "swarmd", "err", err)
-	}
-	svc.Close()
-	fmt.Fprintln(os.Stderr, "swarmd: bye")
 }

@@ -33,16 +33,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"swarmhints/internal/cliutil"
@@ -93,18 +86,6 @@ func main() {
 		fatal("parsing replicas", err)
 	}
 
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fatal("debug listener", err)
-		}
-		slog.Info("debug listener up (pprof + traces)", "component", "swarmgate", "addr", dln.Addr().String())
-		go func() {
-			if err := http.Serve(dln, obs.DebugHandler(obs.Default)); err != nil {
-				slog.Error("debug listener failed", "component", "swarmgate", "err", err)
-			}
-		}()
-	}
 	g, err := gate.New(gate.Options{
 		Replicas:         urls,
 		PointTimeout:     *pointTO,
@@ -122,40 +103,9 @@ func main() {
 	if err != nil {
 		fatal("building gateway", err)
 	}
-	srv := &http.Server{
-		Handler: g.Handler(),
-		// Requests inherit the gateway lifetime: Close cancels them all.
-		BaseContext: func(net.Listener) context.Context { return g.Context() },
+	// Requests inherit the gateway lifetime: Close cancels them all.
+	if err := cliutil.Serve("swarmgate", *addr, *debugAddr, g.Handler(), g.Context(), g.Close, *drain,
+		"replicas", len(urls), "obs", *obsOn); err != nil {
+		os.Exit(1)
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal("listen", err)
-	}
-	slog.Info("listening", "component", "swarmgate", "addr", ln.Addr().String(),
-		"replicas", len(urls), "obs", *obsOn)
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		fatal("serve", err)
-	case <-ctx.Done():
-	}
-
-	// Graceful shutdown: stop accepting, drain in-flight requests, and cut
-	// off stragglers by canceling the gateway context at the drain deadline.
-	slog.Info("shutting down", "component", "swarmgate", "drain", *drain)
-	killTimer := time.AfterFunc(*drain, g.Close)
-	defer killTimer.Stop()
-	sdCtx, cancel := context.WithTimeout(context.Background(), *drain+5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sdCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		slog.Error("shutdown", "component", "swarmgate", "err", err)
-	}
-	g.Close()
-	fmt.Fprintln(os.Stderr, "swarmgate: bye")
 }

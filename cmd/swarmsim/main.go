@@ -27,6 +27,12 @@
 //	swarmsim -bench des -cores 64 -store results.store  # reuse results across invocations
 //	swarmsim -list
 //
+// Every configuration runs as one exp.SeedRun — its -seeds replicas, as
+// -seed-shards shard jobs (0 = one job per replica) — and all
+// configurations' shard jobs share one sweep-runner worker pool. The output
+// is one row per replica, or with -seed-shards one merged row per
+// configuration.
+//
 // -store DIR adds the persistent result store (internal/store): sweep
 // points at the default queue sizes are the same canonical configurations
 // cmd/experiments and swarmd run, so they are served from the shared
@@ -38,6 +44,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -47,6 +54,7 @@ import (
 	"swarmhints/internal/bench"
 	"swarmhints/internal/cliutil"
 	"swarmhints/internal/exp"
+	"swarmhints/internal/metrics"
 	"swarmhints/internal/runner"
 	"swarmhints/swarm"
 )
@@ -60,74 +68,99 @@ var sweepFields = []string{"bench", "sched", "cores", "taskq", "commitq", "repli
 var mergedFields = []string{"bench", "sched", "cores", "taskq", "commitq", "seeds", "seed", "scale"}
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "swarmsim:", err)
+		os.Exit(1)
+	}
+}
+
+// config is one sweep configuration: the seed replicas of one point on one
+// machine.
+type config struct {
+	exp.SeedRun
+	machine swarm.Config // the scaled config with any -taskq/-commitq override
+}
+
+// record is one output row: its labels and its (per-replica or merged)
+// statistics.
+type record struct {
+	labels map[string]string
+	st     *swarm.Stats
+}
+
+// run is the whole command: parse args, run the sweep, and write the report
+// to stdout and progress to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("swarmsim", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		benchList  = flag.String("bench", "sssp", "benchmark name(s), comma-separated (see -list)")
-		schedList  = flag.String("sched", "hints", "scheduler(s), comma-separated: random|stealing|hints|lbhints|lbidle")
-		coresList  = flag.String("cores", "64", "core count(s), comma-separated (1 or 4*K*K)")
-		taskqList  = flag.String("taskq", "", "task-queue entries per core, comma-separated (default: scaled config)")
-		commitList = flag.String("commitq", "", "commit-queue entries per core, comma-separated (default: scaled config)")
-		scaleName  = flag.String("scale", "small", "input scale: tiny|small|full")
-		seed       = flag.Int64("seed", 7, "workload seed (sweep seed when -seeds > 1)")
-		seeds      = flag.Int("seeds", 1, "seed replicas per configuration, derived from -seed")
-		seedShards = flag.Int("seed-shards", 0, "merge the -seeds replicas of each configuration into one record with cross-seed error bars, sharded into at most N shard jobs (0 = per-replica records)")
-		parallel   = flag.Int("parallel", 0, "runs in flight at once (0 = GOMAXPROCS)")
-		profile    = flag.Bool("profile", false, "collect access classification (Fig. 3; single run only)")
-		validate   = flag.Bool("validate", true, "check results against the serial reference")
-		format     = flag.String("format", "", "machine-readable output: json|csv (default: human report)")
-		outFile    = flag.String("out", "", "write structured results to FILE (keeps human report on stdout)")
-		storeDir   = flag.String("store", "", "persistent result-store directory shared with swarmd/experiments (empty = no store)")
-		storeMax   = flag.String("store-max-bytes", "", "result-store size cap, e.g. 512m or 2g (empty/0 = unbounded)")
-		list       = flag.Bool("list", false, "list benchmarks and exit")
+		benchList  = fs.String("bench", "sssp", "benchmark name(s), comma-separated (see -list)")
+		schedList  = fs.String("sched", "hints", "scheduler(s), comma-separated: random|stealing|hints|lbhints|lbidle")
+		coresList  = fs.String("cores", "64", "core count(s), comma-separated (1 or 4*K*K)")
+		taskqList  = fs.String("taskq", "", "task-queue entries per core, comma-separated (default: scaled config)")
+		commitList = fs.String("commitq", "", "commit-queue entries per core, comma-separated (default: scaled config)")
+		scaleName  = fs.String("scale", "small", "input scale: tiny|small|full")
+		seed       = fs.Int64("seed", 7, "workload seed (sweep seed when -seeds > 1)")
+		seeds      = fs.Int("seeds", 1, "seed replicas per configuration, derived from -seed")
+		seedShards = fs.Int("seed-shards", 0, "merge the -seeds replicas of each configuration into one record with cross-seed error bars, sharded into at most N shard jobs (0 = per-replica records)")
+		parallel   = fs.Int("parallel", 0, "runs in flight at once (0 = GOMAXPROCS)")
+		profile    = fs.Bool("profile", false, "collect access classification (Fig. 3; single run only)")
+		validate   = fs.Bool("validate", true, "check results against the serial reference")
+		format     = fs.String("format", "", "machine-readable output: json|csv (default: human report)")
+		outFile    = fs.String("out", "", "write structured results to FILE (keeps human report on stdout)")
+		storeDir   = fs.String("store", "", "persistent result-store directory shared with swarmd/experiments (empty = no store)")
+		storeMax   = fs.String("store-max-bytes", "", "result-store size cap, e.g. 512m or 2g (empty/0 = unbounded)")
+		list       = fs.Bool("list", false, "list benchmarks and exit")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0
 
 	if *list {
-		fmt.Println("benchmarks:", strings.Join(bench.AllNames(), " "))
-		return
+		fmt.Fprintln(stdout, "benchmarks:", strings.Join(bench.AllNames(), " "))
+		return nil
 	}
 
 	output, err := cliutil.ParseOutput(*format, *outFile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	scale, err := cliutil.ParseScale(*scaleName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	resultStore, err := cliutil.OpenStore(*storeDir, *storeMax)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if resultStore != nil {
 		c := resultStore.Counters()
-		fmt.Fprintf(os.Stderr, "swarmsim: result store %s (%d records, %d bytes)\n",
+		fmt.Fprintf(stderr, "swarmsim: result store %s (%d records, %d bytes)\n",
 			resultStore.Dir(), c.Records, c.Bytes)
 	}
 	benches := cliutil.SplitList(*benchList)
 	kinds, err := cliutil.ParseScheds(*schedList)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cores, err := cliutil.ParseInts(*coresList, "-cores")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	taskqs, err := cliutil.ParseInts(*taskqList, "-taskq")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	commitqs, err := cliutil.ParseInts(*commitList, "-commitq")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(benches) == 0 {
-		fatal(fmt.Errorf("-bench lists no benchmarks"))
+		return fmt.Errorf("-bench lists no benchmarks")
 	}
 	if len(kinds) == 0 {
-		fatal(fmt.Errorf("-sched lists no schedulers"))
+		return fmt.Errorf("-sched lists no schedulers")
 	}
 	if len(cores) == 0 {
-		fatal(fmt.Errorf("-cores lists no core counts"))
+		return fmt.Errorf("-cores lists no core counts")
 	}
 	// Zero means "keep the scaled config's default" for queue dimensions.
 	if len(taskqs) == 0 {
@@ -139,345 +172,186 @@ func main() {
 	if *seeds < 1 {
 		*seeds = 1
 	}
-
-	// -seed-shards switches to merged-record mode: every configuration's
-	// seed replicas execute as shard jobs on the one worker pool and
-	// collapse into a single merged record with cross-seed error bars
-	// (schema swarmhints.metrics.v2) — byte-identical output for every
-	// -seed-shards and -parallel value, because replicas always merge in
-	// fixed seed order.
-	if *seedShards > 0 {
-		if *seeds < 2 {
-			fatal(fmt.Errorf("-seed-shards requires -seeds > 1"))
-		}
-		type cfgPoint struct {
-			bench          string
-			kind           swarm.SchedKind
-			cores          int
-			taskq, commitq int
-		}
-		var cfgs []cfgPoint
-		for _, b := range benches {
-			for _, k := range kinds {
-				for _, c := range cores {
-					for _, tq := range taskqs {
-						for _, cq := range commitqs {
-							cfgs = append(cfgs, cfgPoint{b, k, c, tq, cq})
-						}
-					}
-				}
-			}
-		}
-		scaled := swarm.ScaledConfig()
-		effective := func(v, def int) int {
-			if v > 0 {
-				return v
-			}
-			return def
-		}
-		runProfile := *profile && len(cfgs) == 1
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		per := make([][]*swarm.Stats, len(cfgs))
-		var jobs []runner.Job
-		for i, c := range cfgs {
-			c := c
-			sr := exp.SeedRun{
-				Point:    exp.Point{Name: c.bench, Kind: c.kind, Cores: c.cores, Profile: runProfile},
-				Scale:    scale,
-				BaseSeed: *seed,
-				Seeds:    *seeds,
-				Shards:   *seedShards,
-				Validate: *validate,
-				Store:    resultStore,
-			}
-			if c.taskq > 0 || c.commitq > 0 {
-				// Custom queue dimensions change the simulated machine:
-				// never store-tiered, executed inline (same rule as the
-				// per-replica sweep path).
-				sr.Exec = func(_ context.Context, wseed int64, _ exp.Point) (*swarm.Stats, error) {
-					inst, err := bench.Build(c.bench, scale, wseed)
-					if err != nil {
-						return nil, err
-					}
-					cfg := swarm.ScaledConfig().WithCores(c.cores)
-					cfg.Scheduler = c.kind
-					cfg.Profile = runProfile
-					if c.taskq > 0 {
-						cfg.TaskQPerCore = c.taskq
-					}
-					if c.commitq > 0 {
-						cfg.CommitQPerCore = c.commitq
-					}
-					st, err := inst.Prog.Run(cfg)
-					if err != nil {
-						return nil, err
-					}
-					if *validate {
-						if err := inst.Validate(); err != nil {
-							return nil, fmt.Errorf("validation failed: %w", err)
-						}
-					}
-					return st, nil
-				}
-			}
-			per[i] = make([]*swarm.Stats, *seeds)
-			jobs = append(jobs, sr.ShardJobs(ctx, per[i])...)
-		}
-		done := 0
-		results := runner.Sweep(ctx, jobs, runner.Options{
-			Parallel: *parallel,
-			Seed:     *seed,
-			OnResult: func(res runner.Result) {
-				done++
-				fmt.Fprintf(os.Stderr, "swarmsim: [%d/%d] %s\n", done, len(jobs), res.Name)
-			},
-		})
-		if err := runner.FirstErr(results); err != nil {
-			fatal(err)
-		}
-		merged := make([]runner.Result, len(cfgs))
-		for i, c := range cfgs {
-			st, err := swarm.MergeStats(per[i])
-			if err != nil {
-				fatal(err)
-			}
-			merged[i] = runner.Result{
-				Index: i,
-				Name:  fmt.Sprintf("%s/%v/%dc", c.bench, c.kind, c.cores),
-				Labels: map[string]string{
-					"bench":   c.bench,
-					"sched":   c.kind.String(),
-					"cores":   strconv.Itoa(c.cores),
-					"taskq":   strconv.Itoa(effective(c.taskq, scaled.TaskQPerCore)),
-					"commitq": strconv.Itoa(effective(c.commitq, scaled.CommitQPerCore)),
-					"seeds":   strconv.Itoa(*seeds),
-					"seed":    strconv.FormatInt(*seed, 10),
-					"scale":   scale.String(),
-				},
-				Seed:  *seed,
-				Stats: st,
-			}
-		}
-		if !output.ReplacesHuman() {
-			fmt.Printf("%-10s %-9s %6s %6s %7s %5s %14s %20s %10s %8s %12s\n",
-				"bench", "sched", "cores", "taskq", "commitq", "seeds", "cycles", "cycles/seed", "tasks", "aborts", "flits")
-			for _, r := range merged {
-				st := r.Stats
-				sm := st.SeedSummary
-				fmt.Printf("%-10s %-9s %6s %6s %7s %5s %14d %14.0f±%-5.0f %10d %8d %12d\n",
-					r.Labels["bench"], r.Labels["sched"], r.Labels["cores"],
-					r.Labels["taskq"], r.Labels["commitq"], r.Labels["seeds"],
-					st.Cycles, sm.Cycles.Mean, sm.Cycles.Stddev,
-					st.CommittedTasks, st.AbortedAttempts, st.TotalTraffic())
-			}
-		}
-		if output.Enabled() {
-			if err := output.Write(runner.Collect(merged, mergedFields...)); err != nil {
-				fatal(err)
-			}
-		}
-		return
+	// -seed-shards switches to merged-record mode: each configuration's
+	// replicas collapse into one record with cross-seed error bars (schema
+	// swarmhints.metrics.v2), byte-identical for every -seed-shards and
+	// -parallel value because replicas always merge in fixed seed order.
+	merged := *seedShards > 0
+	if merged && *seeds < 2 {
+		return fmt.Errorf("-seed-shards requires -seeds > 1")
+	}
+	rows := len(benches) * len(kinds) * len(cores) * len(taskqs) * len(commitqs)
+	if !merged {
+		rows *= *seeds
 	}
 
-	// point is one sweep coordinate, enumerated in deterministic order.
-	type point struct {
-		bench   string
-		kind    swarm.SchedKind
-		cores   int
-		taskq   int
-		commitq int
-		replica int
-	}
-	var points []point
+	// Enumerate the configurations in deterministic sweep order. A
+	// configuration at the default queue sizes is an experiment-harness
+	// point, so its replicas share the persistent store under the same
+	// canonical key as cmd/experiments and swarmd; custom queue sizes change
+	// the machine, so those replicas run on it directly and always execute.
+	var cfgs []config
 	for _, b := range benches {
 		for _, k := range kinds {
 			for _, c := range cores {
 				for _, tq := range taskqs {
 					for _, cq := range commitqs {
-						for rep := 0; rep < *seeds; rep++ {
-							points = append(points, point{b, k, c, tq, cq, rep})
+						cfg := config{
+							SeedRun: exp.SeedRun{
+								Point:    exp.Point{Name: b, Kind: k, Cores: c, Profile: *profile && rows == 1},
+								Scale:    scale,
+								BaseSeed: *seed,
+								Seeds:    *seeds,
+								Shards:   *seedShards,
+								Validate: *validate,
+								Store:    resultStore,
+							},
+							machine: swarm.ScaledConfig(),
 						}
+						if tq > 0 {
+							cfg.machine.TaskQPerCore = tq
+						}
+						if cq > 0 {
+							cfg.machine.CommitQPerCore = cq
+						}
+						if tq > 0 || cq > 0 {
+							machine := cfg.machine
+							cfg.Exec = func(_ context.Context, wseed int64, p exp.Point) (*swarm.Stats, error) {
+								return exp.RunOn(machine, p, scale, wseed, *validate)
+							}
+						}
+						cfgs = append(cfgs, cfg)
 					}
 				}
 			}
 		}
 	}
 
-	// workloadSeed is the seed run replica rep sees: the fixed -seed for
-	// single-seed sweeps (paper methodology: every configuration sees the
-	// same input), a replica-derived seed otherwise. Deriving from the
-	// replica index — not the sweep job index — keeps replica r of every
-	// configuration on one workload and reproducible as the sweep reshapes.
-	workloadSeed := func(rep int) int64 {
-		if *seeds > 1 {
-			return runner.DeriveSeed(*seed, rep)
-		}
-		return *seed
-	}
-	effective := func(v, def int) int {
-		if v > 0 {
-			return v
-		}
-		return def
-	}
-	scaled := swarm.ScaledConfig()
-
-	var hintPattern string // recorded for the single-run report
-	makeJob := func(p point) runner.Job {
-		// A sweep point at the default queue sizes is exactly an experiment-
-		// harness configuration (exp.RunPoint), so it shares the persistent
-		// store under the same canonical key as cmd/experiments and swarmd.
-		// Custom -taskq/-commitq runs change the machine, not just the
-		// point, and always execute.
-		runProfile := *profile && len(points) == 1
-		expPoint := exp.Point{Name: p.bench, Kind: p.kind, Cores: p.cores, Profile: runProfile}
-		storeKey := ""
-		if resultStore != nil && p.taskq == 0 && p.commitq == 0 {
-			storeKey = exp.ConfigKey(scale, workloadSeed(p.replica), expPoint)
-		}
-		return runner.Job{
-			Name: fmt.Sprintf("%s/%v/%dc", p.bench, p.kind, p.cores),
-			Labels: map[string]string{
-				"bench":   p.bench,
-				"sched":   p.kind.String(),
-				"cores":   strconv.Itoa(p.cores),
-				"taskq":   strconv.Itoa(effective(p.taskq, scaled.TaskQPerCore)),
-				"commitq": strconv.Itoa(effective(p.commitq, scaled.CommitQPerCore)),
-				"replica": strconv.Itoa(p.replica),
-				"seed":    strconv.FormatInt(workloadSeed(p.replica), 10),
-				"scale":   scale.String(),
-			},
-			Run: func(int64) (*swarm.Stats, error) {
-				if storeKey != "" {
-					if st, ok := resultStore.GetStats(storeKey); ok {
-						return st, nil
-					}
-					st, err := exp.RunPoint(expPoint, scale, workloadSeed(p.replica), *validate)
-					if err == nil {
-						_ = resultStore.PutStats(storeKey, st) // best effort
-					}
-					return st, err
-				}
-				inst, err := bench.Build(p.bench, scale, workloadSeed(p.replica))
-				if err != nil {
-					return nil, err
-				}
-				if len(points) == 1 {
-					hintPattern = inst.HintPattern // no race: single job
-				}
-				cfg := swarm.ScaledConfig().WithCores(p.cores)
-				cfg.Scheduler = p.kind
-				cfg.Profile = runProfile
-				if p.taskq == 0 && p.commitq == 0 {
-					// A default-queue run is a canonical configuration point;
-					// use the harness watchdog so its outcome cannot depend
-					// on whether it ran here or through exp.RunPoint (-store).
-					cfg.MaxCycles = exp.MaxPointCycles
-				}
-				if p.taskq > 0 {
-					cfg.TaskQPerCore = p.taskq
-				}
-				if p.commitq > 0 {
-					cfg.CommitQPerCore = p.commitq
-				}
-				st, err := inst.Prog.Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				if *validate {
-					if err := inst.Validate(); err != nil {
-						return nil, fmt.Errorf("validation failed: %w", err)
-					}
-				}
-				return st, nil
-			},
-		}
-	}
-
-	jobs := make([]runner.Job, len(points))
-	for i, p := range points {
-		jobs[i] = makeJob(p)
-	}
-	// Interrupt cancels the sweep at the next job boundary; completed runs
-	// are still reported through OnResult, canceled ones never are.
+	// Every configuration's shard jobs go on one worker pool. Interrupt
+	// cancels the sweep at the next job boundary; completed jobs are still
+	// reported through OnResult, canceled ones never are.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	per := make([][]*swarm.Stats, len(cfgs))
+	var jobs []runner.Job
+	for i, c := range cfgs {
+		per[i] = make([]*swarm.Stats, *seeds)
+		jobs = append(jobs, c.ShardJobs(ctx, per[i])...)
+	}
 	done := 0
 	results := runner.Sweep(ctx, jobs, runner.Options{
 		Parallel: *parallel,
 		Seed:     *seed,
 		OnResult: func(res runner.Result) {
 			done++
-			fmt.Fprintf(os.Stderr, "swarmsim: [%d/%d] %s\n", done, len(jobs), res.Name)
+			fmt.Fprintf(stderr, "swarmsim: [%d/%d] %s\n", done, len(jobs), res.Name)
 		},
 	})
 	if err := runner.FirstErr(results); err != nil {
-		fatal(err)
+		return err
+	}
+
+	// One row per replica (each at its own workload seed), or one merged
+	// row per configuration (at the base seed).
+	var recs []record
+	for i, c := range cfgs {
+		labels := func(key, val string, seed int64) map[string]string {
+			return map[string]string{
+				"bench":   c.Point.Name,
+				"sched":   c.Point.Kind.String(),
+				"cores":   strconv.Itoa(c.Point.Cores),
+				"taskq":   strconv.Itoa(c.machine.TaskQPerCore),
+				"commitq": strconv.Itoa(c.machine.CommitQPerCore),
+				key:       val,
+				"seed":    strconv.FormatInt(seed, 10),
+				"scale":   scale.String(),
+			}
+		}
+		if merged {
+			st, err := swarm.MergeStats(per[i])
+			if err != nil {
+				return err
+			}
+			recs = append(recs, record{labels("seeds", strconv.Itoa(*seeds), *seed), st})
+			continue
+		}
+		for r, wseed := range exp.ReplicaSeeds(*seed, *seeds) {
+			recs = append(recs, record{labels("replica", strconv.Itoa(r), wseed), per[i][r]})
+		}
 	}
 
 	if !output.ReplacesHuman() {
-		if len(points) == 1 {
-			p := points[0]
-			if hintPattern == "" {
-				// Store-served single runs skip the workload build; rebuild
-				// it (cheap next to a simulation) so the report is complete.
-				if inst, err := bench.Build(p.bench, scale, workloadSeed(p.replica)); err == nil {
-					hintPattern = inst.HintPattern
-				}
+		switch {
+		case merged:
+			fmt.Fprintf(stdout, "%-10s %-9s %6s %6s %7s %5s %14s %20s %10s %8s %12s\n",
+				"bench", "sched", "cores", "taskq", "commitq", "seeds", "cycles", "cycles/seed", "tasks", "aborts", "flits")
+			for _, r := range recs {
+				st, sm := r.st, r.st.SeedSummary
+				fmt.Fprintf(stdout, "%-10s %-9s %6s %6s %7s %5s %14d %14.0f±%-5.0f %10d %8d %12d\n",
+					r.labels["bench"], r.labels["sched"], r.labels["cores"],
+					r.labels["taskq"], r.labels["commitq"], r.labels["seeds"],
+					st.Cycles, sm.Cycles.Mean, sm.Cycles.Stddev,
+					st.CommittedTasks, st.AbortedAttempts, st.TotalTraffic())
 			}
-			printDetailed(p.bench, *scaleName, hintPattern, p.cores, p.kind, *validate, results[0].Stats)
-		} else {
-			fmt.Printf("%-10s %-9s %6s %6s %7s %4s %14s %10s %8s %8s %12s\n",
+		case len(recs) == 1:
+			p := cfgs[0].Point
+			inst, err := bench.Build(p.Name, scale, *seed)
+			if err != nil {
+				return err
+			}
+			printDetailed(stdout, p, *scaleName, inst.HintPattern, *validate, recs[0].st)
+		default:
+			fmt.Fprintf(stdout, "%-10s %-9s %6s %6s %7s %4s %14s %10s %8s %8s %12s\n",
 				"bench", "sched", "cores", "taskq", "commitq", "rep", "cycles", "tasks", "aborts", "spills", "flits")
-			for i, p := range points {
-				st := results[i].Stats
-				fmt.Printf("%-10s %-9v %6d %6d %7d %4d %14d %10d %8d %8d %12d\n",
-					p.bench, p.kind, p.cores,
-					effective(p.taskq, scaled.TaskQPerCore), effective(p.commitq, scaled.CommitQPerCore),
-					p.replica,
+			for _, r := range recs {
+				st := r.st
+				fmt.Fprintf(stdout, "%-10s %-9s %6s %6s %7s %4s %14d %10d %8d %8d %12d\n",
+					r.labels["bench"], r.labels["sched"], r.labels["cores"],
+					r.labels["taskq"], r.labels["commitq"], r.labels["replica"],
 					st.Cycles, st.CommittedTasks, st.AbortedAttempts, st.SpilledTasks, st.TotalTraffic())
 			}
 		}
 	}
-	if output.Enabled() {
-		if err := output.Write(runner.Collect(results, sweepFields...)); err != nil {
-			fatal(err)
-		}
+	if !output.Enabled() {
+		return nil
 	}
+	rs := metrics.NewResultSet(sweepFields...)
+	if merged {
+		rs = metrics.NewResultSet(mergedFields...)
+		rs.Schema = metrics.SchemaVersionV2 // merged records carry SeedSummary
+	}
+	for _, r := range recs {
+		rs.Append(r.labels, r.st.Snapshot())
+	}
+	return output.Write(stdout, rs)
 }
 
 // printDetailed reproduces the single-run report.
-func printDetailed(benchName, scaleName, hintPattern string, cores int, kind swarm.SchedKind, validated bool, st *swarm.Stats) {
-	cfg := swarm.ScaledConfig().WithCores(cores)
-	fmt.Printf("benchmark   %s (%s, hint pattern: %s)\n", benchName, scaleName, hintPattern)
-	fmt.Printf("machine     %d cores, scheduler %v\n", cfg.Cores(), kind)
-	fmt.Printf("makespan    %d cycles\n", st.Cycles)
-	fmt.Printf("tasks       %d committed, %d aborted attempts, %d squashed, %d spilled, %d stolen\n",
+func printDetailed(w io.Writer, p exp.Point, scaleName, hintPattern string, validated bool, st *swarm.Stats) {
+	cfg := swarm.ScaledConfig().WithCores(p.Cores)
+	fmt.Fprintf(w, "benchmark   %s (%s, hint pattern: %s)\n", p.Name, scaleName, hintPattern)
+	fmt.Fprintf(w, "machine     %d cores, scheduler %v\n", cfg.Cores(), p.Kind)
+	fmt.Fprintf(w, "makespan    %d cycles\n", st.Cycles)
+	fmt.Fprintf(w, "tasks       %d committed, %d aborted attempts, %d squashed, %d spilled, %d stolen\n",
 		st.CommittedTasks, st.AbortedAttempts, st.SquashedTasks, st.SpilledTasks, st.StolenTasks)
 	b := st.Breakdown
 	total := float64(b.Total())
 	if total > 0 {
-		fmt.Printf("cycles      commit %.1f%%  abort %.1f%%  spill %.1f%%  stall %.1f%%  empty %.1f%%\n",
+		fmt.Fprintf(w, "cycles      commit %.1f%%  abort %.1f%%  spill %.1f%%  stall %.1f%%  empty %.1f%%\n",
 			100*float64(b.Commit)/total, 100*float64(b.Abort)/total, 100*float64(b.Spill)/total,
 			100*float64(b.Stall)/total, 100*float64(b.Empty)/total)
 	}
-	fmt.Printf("traffic     mem %d  abort %d  task %d  gvt %d flits\n",
+	fmt.Fprintf(w, "traffic     mem %d  abort %d  task %d  gvt %d flits\n",
 		st.Traffic[0], st.Traffic[1], st.Traffic[2], st.Traffic[3])
-	fmt.Printf("caches      L1 %d  L2 %d  L3 %d hits, %d mem accesses\n",
+	fmt.Fprintf(w, "caches      L1 %d  L2 %d  L3 %d hits, %d mem accesses\n",
 		st.Cache.L1Hits, st.Cache.L2Hits, st.Cache.L3Hits, st.Cache.MemAccesses)
-	fmt.Printf("balance     load-imbalance %.2fx over %d tiles\n", st.LoadImbalance(), len(st.Tiles))
+	fmt.Fprintf(w, "balance     load-imbalance %.2fx over %d tiles\n", st.LoadImbalance(), len(st.Tiles))
 	if st.Classification != nil {
 		cl := st.Classification
-		fmt.Printf("accesses    multiRO %.3f  singleRO %.3f  multiRW %.3f  singleRW %.3f  args %.3f\n",
+		fmt.Fprintf(w, "accesses    multiRO %.3f  singleRO %.3f  multiRW %.3f  singleRW %.3f  args %.3f\n",
 			cl.MultiHintRO, cl.SingleHintRO, cl.MultiHintRW, cl.SingleHintRW, cl.Arguments)
 	}
 	if validated {
-		fmt.Println("validation  OK (matches serial reference)")
+		fmt.Fprintln(w, "validation  OK (matches serial reference)")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "swarmsim:", err)
-	os.Exit(1)
 }

@@ -3,20 +3,30 @@
 // copies of the same list/scale/scheduler parsers. Both commands also share
 // the structured-output convention implemented by Output: -format selects a
 // machine-readable encoding, -out redirects it to a file so the
-// human-readable report keeps stdout.
+// human-readable report keeps stdout. The two daemons, cmd/swarmd and
+// cmd/swarmgate, share one process lifecycle, Serve.
 package cliutil
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"net"
+	"net/http"
 	"net/url"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 
 	"swarmhints/internal/bench"
 	"swarmhints/internal/fault"
 	"swarmhints/internal/metrics"
+	"swarmhints/internal/obs"
 	"swarmhints/internal/store"
 	"swarmhints/swarm"
 )
@@ -220,25 +230,82 @@ func (o Output) Enabled() bool { return o.Format != metrics.FormatHuman }
 // are emitted (human to stdout, structured to the file).
 func (o Output) ReplacesHuman() bool { return o.Enabled() && o.Path == "" }
 
-// Write encodes rs to the configured destination. No-op when structured
-// output is disabled.
-func (o Output) Write(rs *metrics.ResultSet) error {
+// Write encodes rs to the configured destination: the -out file, or stdout
+// when there is none. No-op when structured output is disabled.
+func (o Output) Write(stdout io.Writer, rs *metrics.ResultSet) error {
 	if !o.Enabled() {
 		return nil
 	}
-	var w io.Writer = os.Stdout
-	if o.Path != "" {
-		f, err := os.Create(o.Path)
-		if err != nil {
-			return err
-		}
-		if err := rs.Write(f, o.Format); err != nil {
-			f.Close()
-			return err
-		}
-		// A close failure can be the first sign of a failed write-back;
-		// surface it instead of reporting a truncated file as success.
-		return f.Close()
+	if o.Path == "" {
+		return rs.Write(stdout, o.Format)
 	}
-	return rs.Write(w, o.Format)
+	f, err := os.Create(o.Path)
+	if err != nil {
+		return err
+	}
+	if err := rs.Write(f, o.Format); err != nil {
+		f.Close()
+		return err
+	}
+	// A close failure can be the first sign of a failed write-back;
+	// surface it instead of reporting a truncated file as success.
+	return f.Close()
+}
+
+// Serve runs a daemon's HTTP lifecycle: an optional debugAddr listener for
+// /debug/pprof and /debug/traces, then handler on addr with every request
+// under baseCtx, until the listener fails or SIGINT/SIGTERM arrives. A
+// signal starts a graceful shutdown: the listener closes, in-flight
+// requests drain for up to drain, closeFn cuts off stragglers at the drain
+// deadline and runs once more when the drain ends, and "<component>: bye"
+// goes to stderr. logAttrs extend the "listening" log line. Every failure
+// is logged under component before it is returned.
+func Serve(component, addr, debugAddr string, handler http.Handler, baseCtx context.Context, closeFn func(), drain time.Duration, logAttrs ...any) error {
+	fail := func(msg string, err error) error {
+		slog.Error(msg, "component", component, "err", err)
+		return err
+	}
+	if debugAddr != "" {
+		dln, err := net.Listen("tcp", debugAddr)
+		if err != nil {
+			return fail("debug listener", err)
+		}
+		slog.Info("debug listener up (pprof + traces)", "component", component, "addr", dln.Addr().String())
+		go func() {
+			if err := http.Serve(dln, obs.DebugHandler(obs.Default)); err != nil {
+				slog.Error("debug listener failed", "component", component, "err", err)
+			}
+		}()
+	}
+	srv := &http.Server{
+		Handler:     handler,
+		BaseContext: func(net.Listener) context.Context { return baseCtx },
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fail("listen", err)
+	}
+	slog.Info("listening", append([]any{"component", component, "addr", ln.Addr().String()}, logAttrs...)...)
+
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	select {
+	case err := <-errc:
+		return fail("serve", err)
+	case <-ctx.Done():
+	}
+
+	slog.Info("shutting down", "component", component, "drain", drain)
+	killTimer := time.AfterFunc(drain, closeFn)
+	defer killTimer.Stop()
+	sdCtx, cancel := context.WithTimeout(context.Background(), drain+5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(sdCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		slog.Error("shutdown", "component", component, "err", err)
+	}
+	closeFn()
+	fmt.Fprintf(os.Stderr, "%s: bye\n", component)
+	return nil
 }

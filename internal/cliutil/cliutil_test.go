@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,7 +92,7 @@ func TestOutputWriteToFile(t *testing.T) {
 	rs := metrics.NewResultSet("bench")
 	rs.Append(map[string]string{"bench": "sssp"}, &metrics.Snapshot{Cycles: 1})
 	o := Output{Format: metrics.FormatJSON, Path: path}
-	if err := o.Write(rs); err != nil {
+	if err := o.Write(io.Discard, rs); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -102,8 +103,12 @@ func TestOutputWriteToFile(t *testing.T) {
 		t.Fatal("written file missing schema version")
 	}
 	// Disabled output writes nothing.
-	if err := (Output{}).Write(rs); err != nil {
+	var stdout strings.Builder
+	if err := (Output{}).Write(&stdout, rs); err != nil {
 		t.Fatal(err)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("disabled output wrote %q", stdout.String())
 	}
 }
 

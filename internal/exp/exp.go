@@ -148,26 +148,24 @@ func ConfigKey(scale bench.Scale, seed int64, p Point) string {
 }
 
 // MaxPointCycles is the watchdog bound every canonical configuration point
-// runs under. Exported so other executors of canonical points (swarmsim's
-// default-queue sweep runs) use the same bound — a point's outcome must not
-// depend on which tool ran it.
+// runs under (RunPoint sets it on the scaled machine).
 const MaxPointCycles = 20_000_000_000
 
-// RunPoint executes one configuration from scratch: build the benchmark at
-// (scale, seed), run it on the paper's scaled machine, and optionally check
-// the result against the serial reference. It is the single execution path
-// behind every harness cache miss — the experiment Runner and the swarmd
-// service both call it, which is what makes their outputs byte-identical
-// for the same configuration.
-func RunPoint(p Point, scale bench.Scale, seed int64, validate bool) (*swarm.Stats, error) {
+// RunOn executes one configuration on the machine base: build the benchmark
+// at (scale, seed), run it on base sized for p.Cores under p.Kind with
+// p.Profile, and optionally check the result against the serial reference.
+// Every other machine parameter of base, its watchdog included, is kept.
+// It is the one build → run → validate body: RunPoint, AblSerial's
+// serialization-disabled runs and swarmsim's custom-queue machines all run
+// through it.
+func RunOn(base swarm.Config, p Point, scale bench.Scale, seed int64, validate bool) (*swarm.Stats, error) {
 	inst, err := bench.Build(p.Name, scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	cfg := swarm.ScaledConfig().WithCores(p.Cores)
+	cfg := base.WithCores(p.Cores)
 	cfg.Scheduler = p.Kind
 	cfg.Profile = p.Profile
-	cfg.MaxCycles = MaxPointCycles
 	st, err := inst.Prog.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s under %v at %d cores: %w", p.Name, p.Kind, p.Cores, err)
@@ -178,6 +176,17 @@ func RunPoint(p Point, scale bench.Scale, seed int64, validate bool) (*swarm.Sta
 		}
 	}
 	return st, nil
+}
+
+// RunPoint executes one canonical configuration from scratch: RunOn on the
+// paper's scaled machine under the MaxPointCycles watchdog. It is the
+// execution path behind every harness cache miss — the experiment Runner
+// and the swarmd service both call it, which is what makes their outputs
+// byte-identical for the same configuration.
+func RunPoint(p Point, scale bench.Scale, seed int64, validate bool) (*swarm.Stats, error) {
+	cfg := swarm.ScaledConfig()
+	cfg.MaxCycles = MaxPointCycles
+	return RunOn(cfg, p, scale, seed, validate)
 }
 
 // Run executes one (benchmark, scheduler, cores) point, with optional
@@ -208,34 +217,19 @@ func (r *Runner) Run(ctx context.Context, name string, kind swarm.SchedKind, cor
 // runPoint executes one configuration without touching the in-memory cache.
 // It uses the harness seed for the workload regardless of who calls it — the
 // paper methodology holds the input fixed across every configuration — which
-// is also what makes parallel and sequential executions byte-identical. With
-// a Store configured (and no Exec), the persistent tier is consulted first
-// and every executed result is written through; a store-served result is
-// byte-identical to a computed one by the StatsFromSnapshot round-trip
-// contract.
+// is also what makes parallel and sequential executions byte-identical.
+// Without an Exec the point runs as a SeedRun, whose replicas go through the
+// persistent Store tier when one is configured.
 func (r *Runner) runPoint(ctx context.Context, p Point) (*swarm.Stats, error) {
 	if r.opt.Exec != nil {
 		return r.opt.Exec(ctx, p)
 	}
-	if r.opt.seeds() > 1 {
-		merged, _, err := r.seedRun(p).Run(ctx)
+	sr := r.seedRun(p)
+	if sr.Seeds > 1 {
+		merged, _, err := sr.Run(ctx)
 		return merged, err
 	}
-	key := ""
-	if r.opt.Store != nil {
-		key = ConfigKey(r.opt.Scale, r.opt.Seed, p)
-		if st, ok := r.opt.Store.GetStats(key); ok {
-			return st, nil
-		}
-	}
-	st, err := RunPoint(p, r.opt.Scale, r.opt.Seed, r.opt.Validate)
-	if err == nil && r.opt.Store != nil {
-		// Best effort: a full disk or unwritable directory degrades the
-		// store to a read tier, it never fails the run (the store's
-		// write-error counter records it).
-		_ = r.opt.Store.PutStats(key, st)
-	}
-	return st, err
+	return sr.runReplica(ctx, sr.BaseSeed)
 }
 
 // Prime executes every not-yet-cached point concurrently through the sweep

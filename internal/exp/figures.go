@@ -436,9 +436,11 @@ func AblSerial(ctx context.Context, r *Runner, w io.Writer) error {
 	}
 	// The serialization-disabled runs bypass the cache (they are not a
 	// Point configuration), so sweep them directly through the runner.
+	noser := swarm.ScaledConfig()
+	noser.DisableSerialization = true
 	jobs := make([]runner.Job, len(names))
 	for i, name := range names {
-		name := name
+		p := Point{Name: name, Kind: swarm.Hints, Cores: mc}
 		jobs[i] = runner.Job{
 			Name: name + "/noser",
 			Run: func(int64) (*swarm.Stats, error) {
@@ -447,23 +449,7 @@ func AblSerial(ctx context.Context, r *Runner, w io.Writer) error {
 					return nil, err
 				}
 				defer release()
-				inst, err := bench.Build(name, r.opt.Scale, r.opt.Seed)
-				if err != nil {
-					return nil, err
-				}
-				cfg := swarm.ScaledConfig().WithCores(mc)
-				cfg.Scheduler = swarm.Hints
-				cfg.DisableSerialization = true
-				st, err := inst.Prog.Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				if r.opt.Validate {
-					if err := inst.Validate(); err != nil {
-						return nil, fmt.Errorf("%s without serialization failed validation: %w", name, err)
-					}
-				}
-				return st, nil
+				return RunOn(noser, p, r.opt.Scale, r.opt.Seed, r.opt.Validate)
 			},
 		}
 	}

@@ -72,13 +72,18 @@ type SeedRun struct {
 	// configuration with more seeds only runs the seeds not yet on disk.
 	Store *store.Store
 	// Exec, when non-nil, executes one seed replica in place of the local
-	// store-tiered path; the service and gateway inject their stacks here.
-	// Results must be exactly what RunPoint(p, Scale, seed, Validate)
-	// would return.
+	// path and bypasses the Store tier: the service and gateway inject
+	// their own caching stacks here (which must return exactly what
+	// RunPoint(p, Scale, seed, Validate) would), and swarmsim injects RunOn
+	// over a machine with custom queue sizes, which is not a canonical
+	// configuration and so is never stored.
 	Exec func(ctx context.Context, seed int64, p Point) (*swarm.Stats, error)
 }
 
-// runReplica executes one seed replica through the configured tier.
+// runReplica executes one seed replica through the configured tier. It is
+// the one place outside the store and the service that reads and writes
+// stored results; a store-served result is byte-identical to a computed
+// one by the StatsFromSnapshot round-trip contract.
 func (sr SeedRun) runReplica(ctx context.Context, seed int64) (*swarm.Stats, error) {
 	if sr.Exec != nil {
 		return sr.Exec(ctx, seed, sr.Point)
@@ -92,7 +97,10 @@ func (sr SeedRun) runReplica(ctx context.Context, seed int64) (*swarm.Stats, err
 	}
 	st, err := RunPoint(sr.Point, sr.Scale, seed, sr.Validate)
 	if err == nil && sr.Store != nil {
-		_ = sr.Store.PutStats(key, st) // best effort, same as Runner.runPoint
+		// Best effort: a full disk or unwritable directory degrades the
+		// store to a read tier, it never fails the run (the store's
+		// write-error counter records it).
+		_ = sr.Store.PutStats(key, st)
 	}
 	return st, err
 }

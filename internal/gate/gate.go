@@ -65,7 +65,9 @@ type Options struct {
 	// A timed-out attempt counts as a failure and retries elsewhere.
 	PointTimeout time.Duration
 	// Retries is how many additional attempts a retryable point failure
-	// gets, each against a different replica when one exists (default 3).
+	// gets, each against a different replica when one exists (0 = no
+	// retries; negative is treated as 0). swarmgate's -retries flag
+	// defaults to 3.
 	Retries int
 	// Concurrency bounds how many points the gateway keeps in flight per
 	// request (0 = 4 × replicas).

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"swarmhints/internal/hashutil"
-	"swarmhints/internal/metrics"
 	"swarmhints/internal/obs"
 	"swarmhints/swarm"
 )
@@ -30,10 +29,6 @@ import (
 type Job struct {
 	// Name labels the job in results and error messages.
 	Name string
-	// Labels are the job's typed coordinates in the sweep (benchmark,
-	// scheduler, cores, …), carried through to its Result and into
-	// machine-readable exports via Collect.
-	Labels map[string]string
 	// Run executes the job and returns its statistics. The seed argument is
 	// the job's derived seed (DeriveSeed of the sweep seed and the job
 	// index); jobs that fix their own seed — e.g. paper experiments, which
@@ -58,12 +53,11 @@ type Options struct {
 // Result is the outcome of one job, delivered at the job's index in the
 // slice Sweep returns regardless of completion order.
 type Result struct {
-	Index  int
-	Name   string
-	Labels map[string]string // the job's Labels, passed through
-	Seed   int64             // derived seed the job received
-	Stats  *swarm.Stats
-	Err    error
+	Index int
+	Name  string
+	Seed  int64 // derived seed the job received
+	Stats *swarm.Stats
+	Err   error
 }
 
 // DeriveSeed returns the seed for run index i of a sweep seeded with
@@ -114,9 +108,8 @@ func Sweep(ctx context.Context, jobs []Job, opt Options) []Result {
 					// Canceled before start: record the cancellation and skip
 					// both the run and the OnResult callback.
 					results[i] = Result{
-						Index: i, Name: jobs[i].Name, Labels: jobs[i].Labels,
-						Seed: DeriveSeed(opt.Seed, i),
-						Err:  fmt.Errorf("runner: job %d (%s) canceled before start: %w", i, jobs[i].Name, err),
+						Index: i, Name: jobs[i].Name, Seed: DeriveSeed(opt.Seed, i),
+						Err: fmt.Errorf("runner: job %d (%s) canceled before start: %w", i, jobs[i].Name, err),
 					}
 					continue
 				}
@@ -142,7 +135,7 @@ func Sweep(ctx context.Context, jobs []Job, opt Options) []Result {
 // is a span in the sweep's trace (ctx carries the caller's span through
 // Sweep), tagged with the job name, index, derived seed, and outcome.
 func runOne(ctx context.Context, j Job, index int, seed int64) (res Result) {
-	res = Result{Index: index, Name: j.Name, Labels: j.Labels, Seed: seed}
+	res = Result{Index: index, Name: j.Name, Seed: seed}
 	_, sp := obs.StartSpan(ctx, "runner.job")
 	sp.SetAttr("job", j.Name)
 	sp.SetAttrInt("index", int64(index))
@@ -177,25 +170,4 @@ func FirstErr(results []Result) error {
 		}
 	}
 	return nil
-}
-
-// Collect assembles the sweep's machine-readable result set: one record per
-// successful result, in job order, labeled with the job's Labels. fields
-// fixes the label column order for CSV output. Failed jobs are skipped —
-// pair Collect with FirstErr to surface them.
-func Collect(results []Result, fields ...string) *metrics.ResultSet {
-	rs := metrics.NewResultSet(fields...)
-	for _, r := range results {
-		if r.Err != nil || r.Stats == nil {
-			continue
-		}
-		sn := r.Stats.Snapshot()
-		if sn.SeedSummary != nil {
-			// Multi-seed merged records carry the cross-seed dispersion
-			// block; stamp the set with the schema that declares it.
-			rs.Schema = metrics.SchemaVersionV2
-		}
-		rs.Append(r.Labels, sn)
-	}
-	return rs
 }
