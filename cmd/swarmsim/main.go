@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seeds      = fs.Int("seeds", 1, "seed replicas per configuration, derived from -seed")
 		seedShards = fs.Int("seed-shards", 0, "merge the -seeds replicas of each configuration into one record with cross-seed error bars, sharded into at most N shard jobs (0 = per-replica records)")
 		parallel   = fs.Int("parallel", 0, "runs in flight at once (0 = GOMAXPROCS)")
-		profile    = fs.Bool("profile", false, "collect access classification (Fig. 3; single run only)")
+		profile    = fs.Bool("profile", false, "collect access classification (Fig. 3) when the output has one row: one configuration, with one seed or with -seed-shards")
 		validate   = fs.Bool("validate", true, "check results against the serial reference")
 		format     = fs.String("format", "", "machine-readable output: json|csv (default: human report)")
 		outFile    = fs.String("out", "", "write structured results to FILE (keeps human report on stdout)")
@@ -294,12 +294,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 					st.CommittedTasks, st.AbortedAttempts, st.TotalTraffic())
 			}
 		case len(recs) == 1:
-			p := cfgs[0].Point
-			inst, err := bench.Build(p.Name, scale, *seed)
-			if err != nil {
-				return err
-			}
-			printDetailed(stdout, p, *scaleName, inst.HintPattern, *validate, recs[0].st)
+			printDetailed(stdout, cfgs[0].Point, cfgs[0].machine, *scaleName, *validate, recs[0].st)
 		default:
 			fmt.Fprintf(stdout, "%-10s %-9s %6s %6s %7s %4s %14s %10s %8s %8s %12s\n",
 				"bench", "sched", "cores", "taskq", "commitq", "rep", "cycles", "tasks", "aborts", "spills", "flits")
@@ -326,11 +321,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return output.Write(stdout, rs)
 }
 
-// printDetailed reproduces the single-run report.
-func printDetailed(w io.Writer, p exp.Point, scaleName, hintPattern string, validated bool, st *swarm.Stats) {
-	cfg := swarm.ScaledConfig().WithCores(p.Cores)
-	fmt.Fprintf(w, "benchmark   %s (%s, hint pattern: %s)\n", p.Name, scaleName, hintPattern)
-	fmt.Fprintf(w, "machine     %d cores, scheduler %v\n", cfg.Cores(), p.Kind)
+// printDetailed reproduces the single-run report of point p on machine.
+// Queue sizes are named only when -taskq or -commitq changed them.
+func printDetailed(w io.Writer, p exp.Point, machine swarm.Config, scaleName string, validated bool, st *swarm.Stats) {
+	cfg := machine.WithCores(p.Cores)
+	fmt.Fprintf(w, "benchmark   %s (%s, hint pattern: %s)\n", p.Name, scaleName, bench.HintPattern(p.Name))
+	fmt.Fprintf(w, "machine     %d cores, scheduler %v", cfg.Cores(), p.Kind)
+	if def := swarm.ScaledConfig(); cfg.TaskQPerCore != def.TaskQPerCore || cfg.CommitQPerCore != def.CommitQPerCore {
+		fmt.Fprintf(w, ", %d task-queue and %d commit-queue entries per core", cfg.TaskQPerCore, cfg.CommitQPerCore)
+	}
+	fmt.Fprintln(w)
 	fmt.Fprintf(w, "makespan    %d cycles\n", st.Cycles)
 	fmt.Fprintf(w, "tasks       %d committed, %d aborted attempts, %d squashed, %d spilled, %d stolen\n",
 		st.CommittedTasks, st.AbortedAttempts, st.SquashedTasks, st.SpilledTasks, st.StolenTasks)

@@ -48,8 +48,6 @@ type Instance struct {
 	// Validate checks the final simulated memory against the serial
 	// reference. Call after Prog.Run.
 	Validate func() error
-	// HintPattern documents the Table I hint strategy.
-	HintPattern string
 	// Ordered reports whether the benchmark uses ordered speculation.
 	Ordered bool
 }
@@ -75,6 +73,28 @@ var Registry = map[string]Builder{
 	"kmeans":   BuildKMeans,
 	"mis":      BuildMIS,
 }
+
+// hintPatterns documents each registered benchmark's Table I hint
+// strategy.
+var hintPatterns = map[string]string{
+	"bfs":      "Cache line of vertex",
+	"bfs-fg":   "Cache line of vertex",
+	"sssp":     "Cache line of vertex",
+	"sssp-fg":  "Cache line of vertex",
+	"astar":    "Cache line of vertex",
+	"astar-fg": "Cache line of vertex",
+	"color":    "Cache line of vertex",
+	"color-fg": "Cache line of vertex (4 task types)",
+	"des":      "Logic gate ID",
+	"nocsim":   "Router ID",
+	"silo":     "(Table ID, primary key)",
+	"genome":   "Elem addr, map key, NO/SAMEHINT",
+	"kmeans":   "Cache line of point, cluster ID",
+	"mis":      "Cache line of vertex",
+}
+
+// HintPattern returns a registered benchmark's Table I hint strategy.
+func HintPattern(name string) string { return hintPatterns[name] }
 
 // Names returns the nine coarse-grain benchmark names in Table I order.
 func Names() []string {

@@ -113,9 +113,14 @@ func TestInstanceMetadata(t *testing.T) {
 		if inst.Ordered != want {
 			t.Fatalf("%s: Ordered = %v, want %v (Sec. II-A)", name, inst.Ordered, want)
 		}
-		if inst.HintPattern == "" {
+	}
+	for name := range Registry {
+		if HintPattern(name) == "" {
 			t.Fatalf("%s: missing hint pattern", name)
 		}
+	}
+	if len(hintPatterns) != len(Registry) {
+		t.Fatalf("%d hint patterns for %d registered benchmarks", len(hintPatterns), len(Registry))
 	}
 }
 

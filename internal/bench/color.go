@@ -112,7 +112,6 @@ func BuildColorCG(scale Scale, seed int64) *Instance {
 	want := refColor(g, rank)
 	return &Instance{
 		Name: "color", Prog: p, Ordered: true,
-		HintPattern: "Cache line of vertex",
 		Validate: func() error {
 			return validateColors(p, sg, want, "color")
 		},
@@ -199,7 +198,6 @@ func BuildColorFG(scale Scale, seed int64) *Instance {
 	want := refColor(g, rank)
 	return &Instance{
 		Name: "color-fg", Prog: p, Ordered: true,
-		HintPattern: "Cache line of vertex (4 task types)",
 		Validate: func() error {
 			return validateColors(p, sg, want, "color-fg")
 		},

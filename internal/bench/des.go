@@ -86,7 +86,6 @@ func BuildDES(scale Scale, seed int64) *Instance {
 	want := refDES(circ, wf)
 	return &Instance{
 		Name: "des", Prog: p, Ordered: true,
-		HintPattern: "Logic gate ID",
 		Validate: func() error {
 			for g := 0; g < circ.N(); g++ {
 				if got := p.Mem.Load(st.out + uint64(g)*8); got != want[g] {

@@ -128,7 +128,6 @@ func BuildGenome(scale Scale, seed int64) *Instance {
 	ref := refGenome(in)
 	return &Instance{
 		Name: "genome", Prog: p, Ordered: false,
-		HintPattern: "Elem addr, map key, NO/SAMEHINT",
 		Validate: func() error {
 			for i := 0; i < nTotal; i++ {
 				got := p.Mem.Load(next + uint64(i)*8)

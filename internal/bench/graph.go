@@ -227,7 +227,6 @@ func BuildBFSCG(scale Scale, seed int64) *Instance {
 	want := refBFS(g, 0)
 	return &Instance{
 		Name: "bfs", Prog: p, Ordered: true,
-		HintPattern: "Cache line of vertex",
 		Validate: func() error {
 			return validateDistances(p, sg, want, "bfs")
 		},
@@ -255,7 +254,6 @@ func BuildBFSFG(scale Scale, seed int64) *Instance {
 	want := refBFS(g, 0)
 	return &Instance{
 		Name: "bfs-fg", Prog: p, Ordered: true,
-		HintPattern: "Cache line of vertex",
 		Validate: func() error {
 			return validateDistances(p, sg, want, "bfs-fg")
 		},
@@ -289,7 +287,6 @@ func BuildSSSPCG(scale Scale, seed int64) *Instance {
 	want := refDijkstra(g, 0)
 	return &Instance{
 		Name: "sssp", Prog: p, Ordered: true,
-		HintPattern: "Cache line of vertex",
 		Validate: func() error {
 			return validateDistances(p, sg, want, "sssp")
 		},
@@ -316,7 +313,6 @@ func BuildSSSPFG(scale Scale, seed int64) *Instance {
 	want := refDijkstra(g, 0)
 	return &Instance{
 		Name: "sssp-fg", Prog: p, Ordered: true,
-		HintPattern: "Cache line of vertex",
 		Validate: func() error {
 			return validateDistances(p, sg, want, "sssp-fg")
 		},
@@ -371,7 +367,6 @@ func BuildAstarCG(scale Scale, seed int64) *Instance {
 	want := refDijkstra(g, 0)
 	return &Instance{
 		Name: "astar", Prog: p, Ordered: true,
-		HintPattern: "Cache line of vertex",
 		Validate: func() error {
 			return validateDistances(p, sg, want, "astar")
 		},
@@ -404,7 +399,6 @@ func BuildAstarFG(scale Scale, seed int64) *Instance {
 	want := refDijkstra(g, 0)
 	return &Instance{
 		Name: "astar-fg", Prog: p, Ordered: true,
-		HintPattern: "Cache line of vertex",
 		Validate: func() error {
 			return validateDistances(p, sg, want, "astar-fg")
 		},

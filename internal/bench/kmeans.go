@@ -124,7 +124,6 @@ func BuildKMeans(scale Scale, seed int64) *Instance {
 	wantMember, wantCentroids := refKMeans(pts, iters)
 	return &Instance{
 		Name: "kmeans", Prog: p, Ordered: false,
-		HintPattern: "Cache line of point, cluster ID",
 		Validate: func() error {
 			for i := 0; i < n; i++ {
 				if got := p.Mem.Load(member + uint64(i)*8); got != wantMember[i]+1 {

@@ -86,7 +86,6 @@ func BuildMIS(scale Scale, seed int64) *Instance {
 	want := refMIS(g, rank)
 	return &Instance{
 		Name: "mis", Prog: p, Ordered: true,
-		HintPattern: "Cache line of vertex",
 		Validate: func() error {
 			return validateMIS(p, sg, want, "mis")
 		},

@@ -95,7 +95,6 @@ func BuildNocsim(scale Scale, seed int64) *Instance {
 	want := refNoc(k, packets)
 	return &Instance{
 		Name: "nocsim", Prog: p, Ordered: true,
-		HintPattern: "Router ID",
 		Validate: func() error {
 			for i, w := range want {
 				if got := p.Mem.Load(state + uint64(i)*8); got != w {

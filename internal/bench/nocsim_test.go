@@ -59,8 +59,8 @@ func TestNocsimMetadata(t *testing.T) {
 	if !inst.Ordered {
 		t.Error("nocsim must use ordered speculation")
 	}
-	if inst.HintPattern != "Router ID" {
-		t.Errorf("hint pattern %q, want %q", inst.HintPattern, "Router ID")
+	if got := HintPattern("nocsim"); got != "Router ID" {
+		t.Errorf("hint pattern %q, want %q", got, "Router ID")
 	}
 	if inst.Name != "nocsim" {
 		t.Errorf("instance name %q", inst.Name)

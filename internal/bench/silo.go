@@ -194,7 +194,6 @@ func BuildSilo(scale Scale, seed int64) *Instance {
 	ref := refSilo(cfg, txns)
 	return &Instance{
 		Name: "silo", Prog: p, Ordered: true,
-		HintPattern: "(Table ID, primary key)",
 		Validate: func() error {
 			return ref.check(p, db, txns)
 		},

@@ -25,8 +25,7 @@ import (
 type Options struct {
 	Scale    bench.Scale
 	Seed     int64
-	Cores    []int // sweep; nil = default for scale
-	MaxCores int   // single-point experiments; 0 = max of sweep
+	Cores    []int // sweep, set per scale by DefaultOptions; the last is the single-point machine
 	Validate bool  // validate each run against the serial reference
 	// Parallel bounds the worker goroutines used to execute independent
 	// simulation runs concurrently (0 = GOMAXPROCS). Every run is an
@@ -97,12 +96,7 @@ func DefaultOptions(scale bench.Scale) Options {
 	return o
 }
 
-func (o Options) maxCores() int {
-	if o.MaxCores > 0 {
-		return o.MaxCores
-	}
-	return o.Cores[len(o.Cores)-1]
-}
+func (o Options) maxCores() int { return o.Cores[len(o.Cores)-1] }
 
 // Runner executes experiments and caches per-configuration results so
 // multi-figure invocations don't repeat runs. The cache is guarded by a

@@ -124,7 +124,6 @@ func TestFig6FGTallerBars(t *testing.T) {
 func TestLBProxyRuns(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner()
-	r.opt.MaxCores = 16
 	if err := LBProxy(context.Background(), r, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,6 @@ func TestLBProxyRuns(t *testing.T) {
 func TestSummaryRuns(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner()
-	r.opt.MaxCores = 16
 	if err := Summary(context.Background(), r, &buf); err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func Table1(ctx context.Context, r *Runner, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-8s %14d %10d %6d  %s\n",
-			name, st.Cycles, st.CommittedTasks, inst.Prog.NumFns(), inst.HintPattern)
+			name, st.Cycles, st.CommittedTasks, inst.Prog.NumFns(), bench.HintPattern(name))
 	}
 	return nil
 }

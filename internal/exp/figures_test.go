@@ -14,7 +14,6 @@ import (
 func microRunner() *Runner {
 	o := DefaultOptions(bench.Tiny)
 	o.Cores = []int{1, 16}
-	o.MaxCores = 16
 	return NewRunner(o)
 }
 

@@ -1,13 +1,13 @@
 // Package front is the /v1 run and sweep front end that swarmd
 // (internal/service) and swarmgate (internal/gate) both serve. It owns
 // request decoding and validation, the seeds > 1 fan-out, the bounded point
-// fan-out, prefix-ordered NDJSON streaming with its completion trailer, and
-// the buffered result-set encodings. A daemon plugs in one point executor
-// — swarmd its cached, coalesced worker fleet, swarmgate its replica
-// router — which answers with the point's canonical /v1/run body (see
-// Body), so every response is assembled from the bytes exp.ExportSet, the
-// encoder the CLIs use, writes, and the two daemons' bytes are identical by
-// construction.
+// fan-out, prefix-ordered NDJSON streaming with its completion trailer, the
+// buffered result-set encodings, and the /metrics handler. A daemon plugs
+// in one point executor — swarmd its cached, coalesced worker fleet,
+// swarmgate its replica router — which answers with the point's canonical
+// /v1/run body (see Body), so every response is assembled from the bytes
+// exp.ExportSet, the encoder the CLIs use, writes, and the two daemons'
+// bytes are identical by construction.
 //
 // The handlers speak the typed wire contract in swarm/api: request bodies
 // decode into api structs, every error response is the structured envelope
@@ -478,6 +478,15 @@ func WriteResultSet(w http.ResponseWriter, rs *metrics.ResultSet, format string,
 	}
 	w.Header().Set("Content-Type", contentType)
 	_, _ = w.Write(buf.Bytes())
+}
+
+// Metrics serves the families render returns in the Prometheus text
+// exposition format: the /metrics endpoint of swarmd and swarmgate.
+func Metrics(render func() []metrics.PromMetric) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = metrics.WriteProm(w, render())
+	}
 }
 
 // writeNDJSON encodes a completed result set in the api NDJSON framing:

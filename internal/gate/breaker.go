@@ -32,6 +32,12 @@ func (s breakerState) String() string {
 	}
 }
 
+// position is how much traffic the breaker holds off, on one gauge:
+// 0 closed, 0.5 half-open, 1 open.
+func (s breakerState) position() float64 {
+	return [...]float64{breakerClosed: 0, breakerHalfOpen: 0.5, breakerOpen: 1}[s]
+}
+
 // breaker is one replica's circuit breaker. The health flag reacts to
 // transport-level evidence (unreachable, draining); the breaker reacts to
 // *any* consecutive-failure streak — including replicas that answer

@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,8 +97,6 @@ type Options struct {
 	// Seed perturbs the routing-key hash (so each seed gives each point
 	// another home replica) and seeds the jitter source (default 1).
 	Seed int64
-	// HTTPClient overrides the transport used for replica requests.
-	HTTPClient *http.Client
 	// FaultAdmin mounts the test-only /v1/faults admin endpoint on the
 	// gateway handler. Never enable it on a production-facing listener.
 	FaultAdmin bool
@@ -207,7 +204,7 @@ func New(opt Options) (*Gateway, error) {
 	for _, u := range opt.Replicas {
 		r := &replica{
 			url:    u,
-			client: api.NewClient(u, opt.HTTPClient),
+			client: api.NewClient(u, nil),
 			brk:    newBreaker(opt.BreakerThreshold, opt.BreakerCooldown),
 		}
 		r.healthy.Store(true) // optimistic: demoted by the first failed probe or attempt
@@ -618,44 +615,48 @@ func (g *Gateway) attempt(ctx context.Context, cfg front.Config, key uint64, rr 
 // Counters is a point-in-time snapshot of the gateway's operational
 // counters, keyed by replica URL.
 type Counters struct {
-	Routed       map[string]uint64
-	Retried      map[string]uint64
-	Failed       map[string]uint64
-	Inflight     map[string]int64
-	Healthy      map[string]bool
-	BreakerState map[string]string // closed | open | half-open
-	BreakerOpens map[string]uint64 // lifetime breaker trips
+	Points       uint64             `prom:"swarmgate_points_total,counter" help:"Points served across all requests."`
+	Sweeps       uint64             `prom:"swarmgate_sweeps_total,counter" help:"Sweep requests accepted."`
+	Hedged       uint64             `prom:"swarmgate_hedged_total,counter" help:"Hedge attempts launched against straggling points."`
+	HedgeWins    uint64             `prom:"swarmgate_hedge_wins_total,counter" help:"Points whose hedge finished before the primary."`
+	BreakerOpens map[string]uint64  `prom:"swarmgate_replica_breaker_opens_total,counter,replica" help:"Circuit-breaker trips per replica."`
+	BreakerOpen  map[string]float64 `prom:"swarmgate_replica_breaker_open,gauge,replica" help:"Breaker position per replica (0 closed, 0.5 half-open, 1 open)."`
+	Routed       map[string]uint64  `prom:"swarmgate_replica_routed_total,counter,replica" help:"Attempts routed to each replica (retries included)."`
+	Retried      map[string]uint64  `prom:"swarmgate_replica_retried_total,counter,replica" help:"Retry attempts routed to each replica after a failure elsewhere."`
+	Failed       map[string]uint64  `prom:"swarmgate_replica_failed_total,counter,replica" help:"Attempts that failed on each replica."`
+	Healthy      map[string]bool    `prom:"swarmgate_replica_healthy,gauge,replica" help:"Replica health (1 = in the candidate set)."`
+	Inflight     map[string]int64   `prom:"swarmgate_replica_inflight,gauge,replica" help:"Attempts in flight per replica."`
 
-	Points    uint64 // points served across all requests
-	Sweeps    uint64 // sweep requests accepted
-	Hedged    uint64 // hedge attempts launched against stragglers
-	HedgeWins uint64 // points whose hedge finished before the primary
+	BreakerState map[string]string // closed | open | half-open
 }
 
 // Counters snapshots the operational counters.
 func (g *Gateway) Counters() Counters {
+	n := len(g.replicas)
 	c := Counters{
-		Routed:       make(map[string]uint64, len(g.replicas)),
-		Retried:      make(map[string]uint64, len(g.replicas)),
-		Failed:       make(map[string]uint64, len(g.replicas)),
-		Inflight:     make(map[string]int64, len(g.replicas)),
-		Healthy:      make(map[string]bool, len(g.replicas)),
-		BreakerState: make(map[string]string, len(g.replicas)),
-		BreakerOpens: make(map[string]uint64, len(g.replicas)),
 		Points:       g.points.Load(),
 		Sweeps:       g.sweeps.Load(),
 		Hedged:       g.hedged.Load(),
 		HedgeWins:    g.hedgeWins.Load(),
+		BreakerOpens: make(map[string]uint64, n),
+		BreakerOpen:  make(map[string]float64, n),
+		Routed:       make(map[string]uint64, n),
+		Retried:      make(map[string]uint64, n),
+		Failed:       make(map[string]uint64, n),
+		Healthy:      make(map[string]bool, n),
+		Inflight:     make(map[string]int64, n),
+		BreakerState: make(map[string]string, n),
 	}
 	for _, r := range g.replicas {
+		st, opens := r.brk.snapshot()
+		c.BreakerOpens[r.url] = opens
+		c.BreakerOpen[r.url] = st.position()
 		c.Routed[r.url] = r.routed.Load()
 		c.Retried[r.url] = r.retried.Load()
 		c.Failed[r.url] = r.failed.Load()
-		c.Inflight[r.url] = r.inflight.Load()
 		c.Healthy[r.url] = r.healthy.Load()
-		st, opens := r.brk.snapshot()
+		c.Inflight[r.url] = r.inflight.Load()
 		c.BreakerState[r.url] = st.String()
-		c.BreakerOpens[r.url] = opens
 	}
 	return c
 }
@@ -663,44 +664,5 @@ func (g *Gateway) Counters() Counters {
 // PromMetrics renders the gateway counters as Prometheus metric families
 // for the /metrics endpoint.
 func (g *Gateway) PromMetrics() []metrics.PromMetric {
-	c := g.Counters()
-	healthy := make(map[string]float64, len(c.Healthy))
-	for u, h := range c.Healthy {
-		if h {
-			healthy[u] = 1
-		} else {
-			healthy[u] = 0
-		}
-	}
-	inflight := make(map[string]float64, len(c.Inflight))
-	for u, n := range c.Inflight {
-		inflight[u] = float64(n)
-	}
-	// 0 = closed, 0.5 = half-open, 1 = open: "how much traffic is this
-	// breaker holding off" on one gauge.
-	brkOpen := make(map[string]float64, len(c.BreakerState))
-	for u, st := range c.BreakerState {
-		switch st {
-		case "open":
-			brkOpen[u] = 1
-		case "half-open":
-			brkOpen[u] = 0.5
-		default:
-			brkOpen[u] = 0
-		}
-	}
-	return []metrics.PromMetric{
-		metrics.PromSingle("swarmgate_points_total", "Points served across all requests.", "counter", float64(c.Points)),
-		metrics.PromSingle("swarmgate_sweeps_total", "Sweep requests accepted.", "counter", float64(c.Sweeps)),
-		metrics.PromSingle("swarmgate_hedged_total", "Hedge attempts launched against straggling points.", "counter", float64(c.Hedged)),
-		metrics.PromSingle("swarmgate_hedge_wins_total", "Points whose hedge finished before the primary.", "counter", float64(c.HedgeWins)),
-		metrics.PromPerLabel("swarmgate_replica_breaker_opens_total", "Circuit-breaker trips per replica.", "replica", c.BreakerOpens),
-		metrics.PromPerLabelGauge("swarmgate_replica_breaker_open", "Breaker position per replica (0 closed, 0.5 half-open, 1 open).", "replica", brkOpen),
-		metrics.PromPerLabel("swarmgate_replica_routed_total", "Attempts routed to each replica (retries included).", "replica", c.Routed),
-		metrics.PromPerLabel("swarmgate_replica_retried_total", "Retry attempts routed to each replica after a failure elsewhere.", "replica", c.Retried),
-		metrics.PromPerLabel("swarmgate_replica_failed_total", "Attempts that failed on each replica.", "replica", c.Failed),
-		metrics.PromPerLabelGauge("swarmgate_replica_healthy", "Replica health (1 = in the candidate set).", "replica", healthy),
-		metrics.PromPerLabelGauge("swarmgate_replica_inflight", "Attempts in flight per replica.", "replica", inflight),
-		g.attemptVec.Prom(),
-	}
+	return append(metrics.PromFamilies(g.Counters()), g.attemptVec.Prom())
 }

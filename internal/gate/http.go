@@ -8,7 +8,6 @@ import (
 
 	"swarmhints/internal/fault"
 	"swarmhints/internal/front"
-	"swarmhints/internal/metrics"
 	"swarmhints/internal/obs"
 	"swarmhints/swarm/api"
 )
@@ -38,7 +37,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/experiments", g.handleExperimentList)
 	mux.HandleFunc("POST /v1/experiments/{id}", g.handleExperiment)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
-	mux.HandleFunc("GET /metrics", g.handleMetrics)
+	mux.HandleFunc("GET /metrics", front.Metrics(g.PromMetrics))
 	obs.Default.Mount(mux)
 	if g.opt.FaultAdmin {
 		mux.Handle("/v1/faults", fault.AdminHandler(fault.Default))
@@ -147,9 +146,4 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	_, _ = w.Write(append(b, '\n'))
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = metrics.WriteProm(w, g.PromMetrics())
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,33 +45,69 @@ type PromHistSeries struct {
 	Count   uint64
 }
 
-// PromSingle builds a one-series family with no labels — the shape of most
-// operational counters and gauges. typ is "counter" or "gauge".
-func PromSingle(name, help, typ string, v float64) PromMetric {
-	return PromMetric{Name: name, Help: help, Type: typ,
-		Values: []PromValue{{Value: v}}}
+// PromFamilies renders a counters struct as metric families, one per
+// tagged field, in field order. A field tagged `prom:"name,type"` with a
+// `help:"..."` text is one unlabeled series; a map[string]V field tagged
+// `prom:"name,type,label"` is one series per key, labeled label=key.
+// Values are uint64, int64, int, float64 or bool (1 for true). Untagged
+// fields are skipped. The tags are declarations fixed at compile time, so
+// a malformed tag or an unsupported kind panics.
+func PromFamilies(c any) []PromMetric {
+	v := reflect.ValueOf(c)
+	var fams []PromMetric
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		tag, ok := f.Tag.Lookup("prom")
+		if !ok {
+			continue
+		}
+		parts := strings.Split(tag, ",")
+		elem := f.Type
+		if len(parts) == 3 && elem.Kind() == reflect.Map && elem.Key().Kind() == reflect.String {
+			elem = elem.Elem()
+		} else if len(parts) != 2 {
+			panic(fmt.Sprintf("metrics: field %s: prom tag %q is not name,type or, on a map[string], name,type,label", f.Name, tag))
+		}
+		if !promKinds[elem.Kind()] {
+			panic(fmt.Sprintf("metrics: field %s: unsupported value type %s", f.Name, elem))
+		}
+		m := PromMetric{Name: parts[0], Help: f.Tag.Get("help"), Type: parts[1]}
+		fv := v.Field(i)
+		if len(parts) == 2 {
+			m.Values = []PromValue{{Value: promValue(fv)}}
+		} else {
+			// WriteProm sorts the series, so map order is harmless.
+			for it := fv.MapRange(); it.Next(); {
+				m.Values = append(m.Values, PromValue{
+					Labels: map[string]string{parts[2]: it.Key().String()},
+					Value:  promValue(it.Value())})
+			}
+		}
+		fams = append(fams, m)
+	}
+	return fams
 }
 
-// PromPerLabel builds a counter family with one series per map entry,
-// labeled label=key. WriteProm sorts the series, so map order is harmless.
-func PromPerLabel(name, help, label string, m map[string]uint64) PromMetric {
-	pm := PromMetric{Name: name, Help: help, Type: "counter"}
-	for k, v := range m {
-		pm.Values = append(pm.Values, PromValue{
-			Labels: map[string]string{label: k}, Value: float64(v)})
-	}
-	return pm
+// promKinds are the value kinds a tagged field may hold.
+var promKinds = map[reflect.Kind]bool{
+	reflect.Uint64: true, reflect.Int64: true, reflect.Int: true,
+	reflect.Float64: true, reflect.Bool: true,
 }
 
-// PromPerLabelGauge builds a gauge family with one series per map entry,
-// labeled label=key — the shape of per-replica score and health gauges.
-func PromPerLabelGauge(name, help, label string, m map[string]float64) PromMetric {
-	pm := PromMetric{Name: name, Help: help, Type: "gauge"}
-	for k, v := range m {
-		pm.Values = append(pm.Values, PromValue{
-			Labels: map[string]string{label: k}, Value: v})
+// promValue converts one value of a kind in promKinds to its sample.
+func promValue(v reflect.Value) float64 {
+	switch v.Kind() {
+	case reflect.Uint64:
+		return float64(v.Uint())
+	case reflect.Int64, reflect.Int:
+		return float64(v.Int())
+	case reflect.Bool:
+		if v.Bool() {
+			return 1
+		}
+		return 0
 	}
-	return pm
+	return v.Float()
 }
 
 // labelEscaper escapes label values per the exposition format.

@@ -10,15 +10,15 @@ import (
 	"swarmhints/internal/exp"
 	"swarmhints/internal/fault"
 	"swarmhints/internal/front"
-	"swarmhints/internal/metrics"
 	"swarmhints/internal/obs"
 	"swarmhints/swarm"
 	"swarmhints/swarm/api"
 )
 
 // The work-bearing run and sweep endpoints are the shared front end
-// (internal/front) over this service's cached, coalesced worker fleet; the
-// experiment endpoints, health, and metrics are swarmd's own.
+// (internal/front) over this service's cached, coalesced worker fleet, and
+// /metrics is front.Metrics over PromMetrics; the experiment endpoints and
+// health are swarmd's own.
 
 // Handler returns the service's HTTP API. The work-bearing endpoints pass
 // through the admission bound (admit); health, metrics, and the registry
@@ -40,7 +40,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/experiments", s.handleExperimentList)
 	mux.HandleFunc("POST /v1/experiments/{id}", s.admit(s.handleExperiment))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics", front.Metrics(s.PromMetrics))
 	obs.Default.Mount(mux)
 	if s.opt.FaultAdmin {
 		mux.Handle("/v1/faults", fault.AdminHandler(fault.Default))
@@ -200,9 +200,4 @@ func (s *Service) handleExperiment(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = io.WriteString(w, "{\"status\":\"ok\"}\n")
-}
-
-func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = metrics.WriteProm(w, s.PromMetrics())
 }

@@ -118,17 +118,17 @@ type flight struct {
 // queued executes nothing, and a store-served request never reaches the
 // engine at all.
 type Counters struct {
-	Hits      uint64
-	Misses    uint64
-	Coalesced uint64
-	Queued    int64  // requests waiting for a worker slot right now
-	InFlight  int64  // simulations executing right now
-	Cached    int    // entries resident in the LRU
-	Pending   int64  // admitted work-bearing requests in progress right now
-	Shed      uint64 // requests rejected 429 at the admission bound
+	Hits      uint64 `prom:"swarmd_cache_hits_total,counter" help:"Requests answered from the LRU result cache."`
+	Misses    uint64 `prom:"swarmd_cache_misses_total,counter" help:"Cache misses: requests that led a new simulation attempt."`
+	Coalesced uint64 `prom:"swarmd_coalesced_total,counter" help:"Requests attached to an identical in-flight simulation."`
+	Cached    int    `prom:"swarmd_cache_entries,gauge" help:"Results resident in the LRU cache."`
+	Queued    int64  `prom:"swarmd_queue_depth,gauge" help:"Requests waiting for a worker-fleet slot."`
+	InFlight  int64  `prom:"swarmd_inflight_runs,gauge" help:"Simulations executing right now."`
+	Pending   int64  `prom:"swarmd_pending_requests,gauge" help:"Admitted work-bearing requests in progress."`
+	Shed      uint64 `prom:"swarmd_shed_total,counter" help:"Requests rejected 429 overloaded at the admission bound."`
 
-	RunsByBench    map[string]uint64 // completed simulations per benchmark
-	ExperimentRuns map[string]uint64 // POST /v1/experiments/{id} invocations
+	RunsByBench    map[string]uint64 `prom:"swarmd_runs_total,counter,bench" help:"Completed simulations by benchmark."`
+	ExperimentRuns map[string]uint64 `prom:"swarmd_experiment_runs_total,counter,id" help:"Experiment endpoint invocations by id."`
 
 	// Store holds the persistent tier's own counters (zero value when the
 	// service runs without a store); Store.Hits is the store-served request
@@ -445,9 +445,9 @@ func (s *Service) Counters() Counters {
 		Hits:           s.hits.Load(),
 		Misses:         s.misses.Load(),
 		Coalesced:      s.coalesced.Load(),
+		Cached:         cached,
 		Queued:         s.queued.Load(),
 		InFlight:       s.inflight.Load(),
-		Cached:         cached,
 		Pending:        s.pending.Load(),
 		Shed:           s.shed.Load(),
 		RunsByBench:    runs,
@@ -463,49 +463,14 @@ func (s *Service) Counters() Counters {
 // runs memory-only.
 func (s *Service) Store() *store.Store { return s.opt.Store }
 
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // PromMetrics renders the operational counters as Prometheus metric
 // families for the /metrics endpoint. The store families appear only when
 // the persistent tier is configured.
 func (s *Service) PromMetrics() []metrics.PromMetric {
 	c := s.Counters()
-	fams := []metrics.PromMetric{
-		metrics.PromSingle("swarmd_cache_hits_total", "Requests answered from the LRU result cache.", "counter", float64(c.Hits)),
-		metrics.PromSingle("swarmd_cache_misses_total", "Cache misses: requests that led a new simulation attempt.", "counter", float64(c.Misses)),
-		metrics.PromSingle("swarmd_coalesced_total", "Requests attached to an identical in-flight simulation.", "counter", float64(c.Coalesced)),
-		metrics.PromSingle("swarmd_cache_entries", "Results resident in the LRU cache.", "gauge", float64(c.Cached)),
-		metrics.PromSingle("swarmd_queue_depth", "Requests waiting for a worker-fleet slot.", "gauge", float64(c.Queued)),
-		metrics.PromSingle("swarmd_inflight_runs", "Simulations executing right now.", "gauge", float64(c.InFlight)),
-		metrics.PromSingle("swarmd_pending_requests", "Admitted work-bearing requests in progress.", "gauge", float64(c.Pending)),
-		metrics.PromSingle("swarmd_shed_total", "Requests rejected 429 overloaded at the admission bound.", "counter", float64(c.Shed)),
-		metrics.PromPerLabel("swarmd_runs_total", "Completed simulations by benchmark.", "bench", c.RunsByBench),
-		metrics.PromPerLabel("swarmd_experiment_runs_total", "Experiment endpoint invocations by id.", "id", c.ExperimentRuns),
-		s.stageVec.Prom(),
-	}
+	fams := append(metrics.PromFamilies(c), s.stageVec.Prom())
 	if s.opt.Store != nil {
-		st := c.Store
-		fams = append(fams,
-			metrics.PromSingle("swarmd_store_hits_total", "Requests answered from the persistent result store.", "counter", float64(st.Hits)),
-			metrics.PromSingle("swarmd_store_misses_total", "Persistent-store lookups that found no valid record.", "counter", float64(st.Misses)),
-			metrics.PromSingle("swarmd_store_writes_total", "Results written through to the persistent store.", "counter", float64(st.Writes)),
-			metrics.PromSingle("swarmd_store_corrupt_total", "Store records rejected as truncated or corrupt (served as misses).", "counter", float64(st.Corrupt)),
-			metrics.PromSingle("swarmd_store_evictions_total", "Store records evicted by the size-cap GC.", "counter", float64(st.Evictions)),
-			metrics.PromSingle("swarmd_store_write_errors_total", "Failed store write-throughs (store degraded to a read tier).", "counter", float64(st.WriteErrors)),
-			metrics.PromSingle("swarmd_store_gc_errors_total", "Store eviction failures: records the GC pass skipped (size cap enforcement degraded).", "counter", float64(st.GCErrors)),
-			metrics.PromSingle("swarmd_store_quarantined_total", "Corrupt store records quarantined to .bad files.", "counter", float64(st.Quarantined)),
-			metrics.PromSingle("swarmd_store_degraded", "1 while the store is in degraded (read-only) mode.", "gauge", boolGauge(st.Degraded)),
-			metrics.PromSingle("swarmd_store_degraded_trips_total", "Times consecutive write failures tripped the store into degraded mode.", "counter", float64(st.DegradeTrips)),
-			metrics.PromSingle("swarmd_store_degraded_skips_total", "Write-throughs skipped while the store was degraded.", "counter", float64(st.DegradedSkips)),
-			metrics.PromSingle("swarmd_store_bytes", "Resident record bytes in the persistent store.", "gauge", float64(st.Bytes)),
-			metrics.PromSingle("swarmd_store_records", "Resident records in the persistent store.", "gauge", float64(st.Records)),
-			store.PromOps(),
-		)
+		fams = append(append(fams, metrics.PromFamilies(c.Store)...), store.PromOps())
 	}
 	return fams
 }

@@ -129,19 +129,19 @@ var ErrDegraded = errors.New("store: degraded (writes bypassed until a probe wri
 // replicas sharing a directory may each undercount the other's writes until
 // their next GC.
 type Counters struct {
-	Hits          uint64
-	Misses        uint64
-	Writes        uint64
-	Corrupt       uint64
-	Evictions     uint64
-	WriteErrors   uint64
-	GCErrors      uint64 // failed collection passes and per-record eviction failures
-	Quarantined   uint64 // corrupt records renamed to .bad instead of re-validating forever
-	DegradeTrips  uint64 // times consecutive write failures tripped degraded mode
-	DegradedSkips uint64 // Puts bypassed while degraded (ErrDegraded returned)
-	Degraded      bool   // the store is currently read-only, awaiting a probe-write success
-	Bytes         int64
-	Records       int64
+	Hits          uint64 `prom:"swarmd_store_hits_total,counter" help:"Requests answered from the persistent result store."`
+	Misses        uint64 `prom:"swarmd_store_misses_total,counter" help:"Persistent-store lookups that found no valid record."`
+	Writes        uint64 `prom:"swarmd_store_writes_total,counter" help:"Results written through to the persistent store."`
+	Corrupt       uint64 `prom:"swarmd_store_corrupt_total,counter" help:"Store records rejected as truncated or corrupt (served as misses)."`
+	Evictions     uint64 `prom:"swarmd_store_evictions_total,counter" help:"Store records evicted by the size-cap GC."`
+	WriteErrors   uint64 `prom:"swarmd_store_write_errors_total,counter" help:"Failed store write-throughs (store degraded to a read tier)."`
+	GCErrors      uint64 `prom:"swarmd_store_gc_errors_total,counter" help:"Store eviction failures: records the GC pass skipped (size cap enforcement degraded)."`
+	Quarantined   uint64 `prom:"swarmd_store_quarantined_total,counter" help:"Corrupt store records quarantined to .bad files."`
+	Degraded      bool   `prom:"swarmd_store_degraded,gauge" help:"1 while the store is in degraded (read-only) mode."`
+	DegradeTrips  uint64 `prom:"swarmd_store_degraded_trips_total,counter" help:"Times consecutive write failures tripped the store into degraded mode."`
+	DegradedSkips uint64 `prom:"swarmd_store_degraded_skips_total,counter" help:"Write-throughs skipped while the store was degraded."`
+	Bytes         int64  `prom:"swarmd_store_bytes,gauge" help:"Resident record bytes in the persistent store."`
+	Records       int64  `prom:"swarmd_store_records,gauge" help:"Resident records in the persistent store."`
 }
 
 // Store is one handle on a result-store directory. Handles are safe for
@@ -678,9 +678,9 @@ func (s *Store) Counters() Counters {
 		WriteErrors:   s.writeErrors.Load(),
 		GCErrors:      s.gcErrors.Load(),
 		Quarantined:   s.quarantined.Load(),
+		Degraded:      s.degraded.Load(),
 		DegradeTrips:  s.degradeTrips.Load(),
 		DegradedSkips: s.degradedSkips.Load(),
-		Degraded:      s.degraded.Load(),
 		Bytes:         s.bytes.Load(),
 		Records:       s.records.Load(),
 	}
