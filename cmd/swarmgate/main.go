@@ -1,8 +1,8 @@
 // Command swarmgate fronts a fleet of swarmd replicas with a key-routed
 // gateway (internal/gate). It exposes the same /v1 surface as a
 // single swarmd — same swarm/api request/response contract, same error
-// envelope, byte-identical responses — but decomposes each sweep grid
-// into points and routes every point to its home replica, with per-point
+// envelope, byte-identical responses — but decomposes each sweep grid and
+// experiment into points and routes every point to its home replica, with per-point
 // timeouts and bounded retry-on-retryable against a different replica. A
 // replica killed mid-sweep is drained and its in-flight points are
 // re-routed, so the sweep still completes.
@@ -11,8 +11,8 @@
 //
 //	POST /v1/run              one configuration, routed to one replica
 //	POST /v1/sweep            a grid, fanned out and reassembled in config order
-//	GET  /v1/experiments      proxied replica experiment listing
-//	POST /v1/experiments/{id} proxied to one replica (retried on retryable failure)
+//	GET  /v1/experiments      list the paper's experiments
+//	POST /v1/experiments/{id} one table/figure, its points routed like a sweep's
 //	GET  /healthz             gateway liveness + per-replica health map
 //	GET  /metrics             Prometheus text: swarmgate_* routing counters
 //

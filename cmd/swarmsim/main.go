@@ -95,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		benchList  = fs.String("bench", "sssp", "benchmark name(s), comma-separated (see -list)")
-		schedList  = fs.String("sched", "hints", "scheduler(s), comma-separated: random|stealing|hints|lbhints|lbidle")
+		schedList  = fs.String("sched", "hints", "scheduler(s), comma-separated: random|stealing|hints|lbhints|lbidle|hintsnoser")
 		coresList  = fs.String("cores", "64", "core count(s), comma-separated (1 or 4*K*K)")
 		taskqList  = fs.String("taskq", "", "task-queue entries per core, comma-separated (default: scaled config)")
 		commitList = fs.String("commitq", "", "commit-queue entries per core, comma-separated (default: scaled config)")

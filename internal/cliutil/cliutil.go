@@ -69,14 +69,16 @@ func ParseSched(s string) (swarm.SchedKind, error) {
 		return swarm.LBHints, nil
 	case "lbidle":
 		return swarm.LBIdleProxy, nil
+	case "hintsnoser":
+		return swarm.HintsNoSerial, nil
 	}
-	return 0, fmt.Errorf("unknown scheduler %q (have random, stealing, hints, lbhints, lbidle)", s)
+	return 0, fmt.Errorf("unknown scheduler %q (have random, stealing, hints, lbhints, lbidle, hintsnoser)", s)
 }
 
 // SchedFlag returns the wire/flag name of a scheduler kind — the inverse
 // of ParseSched, so SchedFlag(k) always round-trips. (Kind.String is the
-// paper's figure-legend spelling, which for LBIdleProxy differs from the
-// parseable name.)
+// paper's figure-legend spelling, which for LBIdleProxy and HintsNoSerial
+// differs from the parseable name.)
 func SchedFlag(k swarm.SchedKind) string {
 	switch k {
 	case swarm.Random:
@@ -89,6 +91,8 @@ func SchedFlag(k swarm.SchedKind) string {
 		return "lbhints"
 	case swarm.LBIdleProxy:
 		return "lbidle"
+	case swarm.HintsNoSerial:
+		return "hintsnoser"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }

@@ -35,7 +35,7 @@ func TestParseInts(t *testing.T) {
 func TestParseSched(t *testing.T) {
 	for in, want := range map[string]swarm.SchedKind{
 		"random": swarm.Random, "Stealing": swarm.Stealing, "HINTS": swarm.Hints,
-		"lbhints": swarm.LBHints, "lbidle": swarm.LBIdleProxy,
+		"lbhints": swarm.LBHints, "lbidle": swarm.LBIdleProxy, "HintsNoSer": swarm.HintsNoSerial,
 	} {
 		got, err := ParseSched(in)
 		if err != nil || got != want {
@@ -155,7 +155,7 @@ func TestOpenStoreDisabled(t *testing.T) {
 // requests a replica will parse back to the same kind.
 func TestSchedFlagRoundTrips(t *testing.T) {
 	for _, k := range []swarm.SchedKind{
-		swarm.Random, swarm.Stealing, swarm.Hints, swarm.LBHints, swarm.LBIdleProxy,
+		swarm.Random, swarm.Stealing, swarm.Hints, swarm.LBHints, swarm.LBIdleProxy, swarm.HintsNoSerial,
 	} {
 		got, err := ParseSched(SchedFlag(k))
 		if err != nil || got != k {

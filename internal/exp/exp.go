@@ -32,19 +32,14 @@ type Options struct {
 	// isolated, deterministic engine, so results — and therefore every
 	// figure and table — are byte-identical for any Parallel value.
 	Parallel int
-	// Exec, when non-nil, replaces direct point execution: every cache miss
-	// is executed through it instead of RunPoint. The service layer
-	// (internal/service) injects its shared result cache, request
-	// coalescing, and global worker fleet here; results must be exactly
-	// what RunPoint(p, Scale, Seed, Validate) would return.
+	// Exec, when non-nil, replaces direct point execution: every simulation
+	// an experiment performs is a Point, and each one not already in the
+	// runner's cache is executed through it instead of RunPoint. The /v1
+	// front end (internal/front) injects its daemon's point executor here —
+	// swarmd's shared result cache, request coalescing and worker fleet, or
+	// swarmgate's replica router; results must be exactly what
+	// RunPoint(p, Scale, Seed, Validate) would return.
 	Exec func(ctx context.Context, p Point) (*swarm.Stats, error)
-	// Gate, when non-nil, bounds the bespoke simulation runs that are not
-	// cacheable Points (e.g. AblSerial's serialization-disabled runs) and
-	// therefore cannot route through Exec: each such run acquires a slot
-	// before simulating and calls the returned release after. The service
-	// layer passes its worker-fleet semaphore so even bespoke runs respect
-	// the global in-flight bound.
-	Gate func(ctx context.Context) (release func(), err error)
 	// Store, when non-nil, adds a persistent tier under the in-memory
 	// result cache: every cache miss consults the store (keyed by
 	// ConfigKey) before executing, and every executed result is written
@@ -72,14 +67,6 @@ func (o Options) seeds() int {
 		return o.Seeds
 	}
 	return 1
-}
-
-// gate acquires a bespoke-run slot when a Gate is configured.
-func (o Options) gate(ctx context.Context) (func(), error) {
-	if o.Gate == nil {
-		return func() {}, nil
-	}
-	return o.Gate(ctx)
 }
 
 // DefaultOptions returns the standard configuration for a scale.
@@ -149,9 +136,8 @@ const MaxPointCycles = 20_000_000_000
 // at (scale, seed), run it on base sized for p.Cores under p.Kind with
 // p.Profile, and optionally check the result against the serial reference.
 // Every other machine parameter of base, its watchdog included, is kept.
-// It is the one build → run → validate body: RunPoint, AblSerial's
-// serialization-disabled runs and swarmsim's custom-queue machines all run
-// through it.
+// It is the one build → run → validate body: RunPoint and swarmsim's
+// custom-queue machines both run through it.
 func RunOn(base swarm.Config, p Point, scale bench.Scale, seed int64, validate bool) (*swarm.Stats, error) {
 	inst, err := bench.Build(p.Name, scale, seed)
 	if err != nil {

@@ -157,8 +157,8 @@ func TestValidationCatchesRuns(t *testing.T) {
 
 // TestParallelMatchesSequential is the harness-level determinism contract:
 // priming the grid through the parallel sweep runner must produce the exact
-// bytes the sequential path produces, for every experiment that exercises
-// both cached and bespoke (AblSerial) runs.
+// bytes the sequential path produces, for fig2 and for the serialization
+// ablation.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, id := range []string{"fig2", "ablserial"} {
 		e, err := Find(id)

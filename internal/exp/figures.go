@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"swarmhints/internal/bench"
-	"swarmhints/internal/runner"
 	"swarmhints/swarm"
 )
 
@@ -425,45 +424,25 @@ func LBProxy(ctx context.Context, r *Runner, w io.Writer) error {
 
 // AblSerial is a design-choice ablation called out in DESIGN.md: spatial
 // hints consist of (i) same-tile mapping and (ii) same-hint dispatch
-// serialization (Sec. III-B). This experiment runs Hints with serialization
-// disabled to separate the two mechanisms on the contention-heavy
-// benchmarks.
+// serialization (Sec. III-B). This experiment runs Hints beside
+// HintsNoSerial, its mapping without the serialization, to separate the two
+// mechanisms on the contention-heavy benchmarks.
 func AblSerial(ctx context.Context, r *Runner, w io.Writer) error {
 	mc := r.opt.maxCores()
 	names := []string{"des", "silo", "kmeans", "genome"}
-	if err := r.PrimeGrid(ctx, names, []swarm.SchedKind{swarm.Hints}, []int{mc}, false); err != nil {
-		return err
-	}
-	// The serialization-disabled runs bypass the cache (they are not a
-	// Point configuration), so sweep them directly through the runner.
-	noser := swarm.ScaledConfig()
-	noser.DisableSerialization = true
-	jobs := make([]runner.Job, len(names))
-	for i, name := range names {
-		p := Point{Name: name, Kind: swarm.Hints, Cores: mc}
-		jobs[i] = runner.Job{
-			Name: name + "/noser",
-			Run: func(int64) (*swarm.Stats, error) {
-				release, err := r.opt.gate(ctx)
-				if err != nil {
-					return nil, err
-				}
-				defer release()
-				return RunOn(noser, p, r.opt.Scale, r.opt.Seed, r.opt.Validate)
-			},
-		}
-	}
-	results := runner.Sweep(ctx, jobs, runner.Options{Parallel: r.opt.Parallel, Seed: r.opt.Seed})
-	if err := runner.FirstErr(results); err != nil {
+	if err := r.PrimeGrid(ctx, names, []swarm.SchedKind{swarm.Hints, swarm.HintsNoSerial}, []int{mc}, false); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%-9s %14s %14s %12s %12s\n", "bench", "Hints cycles", "NoSer cycles", "Hints aborts", "NoSer aborts")
-	for i, name := range names {
+	for _, name := range names {
 		h, err := r.Run(ctx, name, swarm.Hints, mc, false)
 		if err != nil {
 			return err
 		}
-		ns := results[i].Stats
+		ns, err := r.Run(ctx, name, swarm.HintsNoSerial, mc, false)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "%-9s %14d %14d %12d %12d\n",
 			name, h.Cycles, ns.Cycles, h.AbortedAttempts, ns.AbortedAttempts)
 	}

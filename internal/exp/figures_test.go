@@ -136,23 +136,22 @@ func TestAblSerialRuns(t *testing.T) {
 }
 
 func TestSerializationAblationStaysCorrect(t *testing.T) {
-	// Serialization is purely a performance mechanism: disabling it must
-	// never change results (conflict detection still enforces order). The
-	// performance direction varies by benchmark and scale, so the ablation
-	// reports it rather than asserting it.
-	for _, disable := range []bool{false, true} {
+	// Serialization is purely a performance mechanism: dropping it
+	// (HintsNoSerial) must never change results (conflict detection still
+	// enforces order). The performance direction varies by benchmark and
+	// scale, so the ablation reports it rather than asserting it.
+	for _, kind := range []swarm.SchedKind{swarm.Hints, swarm.HintsNoSerial} {
 		inst, err := bench.Build("kmeans", bench.Tiny, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := swarm.ScaledConfig().WithCores(16)
-		cfg.Scheduler = swarm.Hints
-		cfg.DisableSerialization = disable
+		cfg.Scheduler = kind
 		if _, err := inst.Prog.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
 		if err := inst.Validate(); err != nil {
-			t.Fatalf("disable=%v: %v", disable, err)
+			t.Fatalf("%v: %v", kind, err)
 		}
 	}
 }

@@ -1,13 +1,14 @@
-// Package front is the /v1 run and sweep front end that swarmd
+// Package front is the /v1 run, sweep and experiment front end that swarmd
 // (internal/service) and swarmgate (internal/gate) both serve. It owns
 // request decoding and validation, the seeds > 1 fan-out, the bounded point
 // fan-out, prefix-ordered NDJSON streaming with its completion trailer, the
-// buffered result-set encodings, and the /metrics handler. A daemon plugs
-// in one point executor — swarmd its cached, coalesced worker fleet,
-// swarmgate its replica router — which answers with the point's canonical
-// /v1/run body (see Body), so every response is assembled from the bytes
-// exp.ExportSet, the encoder the CLIs use, writes, and the two daemons'
-// bytes are identical by construction.
+// buffered result-set encodings, the paper's experiments run point by
+// point through exp.Runner, and the /metrics handler. A daemon plugs in one
+// point executor — swarmd its cached, coalesced worker fleet, swarmgate its
+// replica router — which answers with the point's canonical /v1/run body
+// (see Body), so every response is assembled from the bytes exp.ExportSet,
+// the encoder the CLIs use, writes, and the two daemons' bytes are
+// identical by construction.
 //
 // The handlers speak the typed wire contract in swarm/api: request bodies
 // decode into api structs, every error response is the structured envelope
@@ -57,11 +58,12 @@ func (c Config) Key() string {
 // statistics exp.RunPoint would return for the configuration.
 type Exec func(ctx context.Context, cfg Config) ([]byte, string, error)
 
-// Front serves POST /v1/run and POST /v1/sweep over one point executor.
-// Everything but Name, Exec, Parallel, and SourceHeader is optional.
+// Front serves POST /v1/run, POST /v1/sweep and the /v1/experiments
+// endpoints over one point executor. Everything but Name, Exec, Parallel,
+// and SourceHeader is optional.
 type Front struct {
-	// Name prefixes the request spans ("<Name>.run", "<Name>.sweep") and
-	// labels stream-abort logs.
+	// Name prefixes the request spans ("<Name>.run", "<Name>.sweep",
+	// "<Name>.experiment") and labels stream-abort logs.
 	Name string
 	// Exec executes one point.
 	Exec Exec
@@ -83,6 +85,9 @@ type Front struct {
 	BeforeLine func(context.Context) error
 	// OnSweep is called once per valid sweep request.
 	OnSweep func()
+	// OnExperiment is called with the experiment id once per experiment
+	// request that succeeds.
+	OnExperiment func(id string)
 }
 
 // Traced continues the trace the caller sent in the X-Swarm-Trace header
@@ -240,16 +245,7 @@ func (f *Front) runSeeds(ctx context.Context, cfg Config, seeds int) ([]byte, er
 		Point: cfg.Point, Scale: cfg.Scale, BaseSeed: cfg.Seed,
 		Seeds: seeds, Parallel: f.Parallel,
 		Exec: func(ctx context.Context, seed int64, p exp.Point) (*swarm.Stats, error) {
-			rcfg := Config{Scale: cfg.Scale, Seed: seed, Point: p}
-			body, _, err := f.Exec(ctx, rcfg)
-			if err != nil {
-				return nil, err
-			}
-			sn, err := DecodeBody(rcfg, body)
-			if err != nil {
-				return nil, err
-			}
-			return swarm.StatsFromSnapshot(sn), nil
+			return f.stats(ctx, Config{Scale: cfg.Scale, Seed: seed, Point: p})
 		},
 	}
 	st, _, err := sr.Run(ctx)
@@ -257,6 +253,110 @@ func (f *Front) runSeeds(ctx context.Context, cfg Config, seeds int) ([]byte, er
 		return nil, err
 	}
 	return Body(cfg, st.Snapshot())
+}
+
+// stats executes one configuration and decodes its body, for callers that
+// compute on the statistics themselves.
+func (f *Front) stats(ctx context.Context, cfg Config) (*swarm.Stats, error) {
+	body, _, err := f.Exec(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sn, err := DecodeBody(cfg, body)
+	if err != nil {
+		return nil, err
+	}
+	return swarm.StatsFromSnapshot(sn), nil
+}
+
+// Experiments serves GET /v1/experiments: the paper's experiment registry,
+// in paper order. It needs no executor, so it answers even when every
+// point executor behind it is down.
+func (f *Front) Experiments(w http.ResponseWriter, _ *http.Request) {
+	list := make([]api.ExperimentInfo, 0, len(exp.Registry))
+	for _, e := range exp.Registry {
+		list = append(list, api.ExperimentInfo{ID: e.ID, Title: e.Title})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(list)
+}
+
+// Experiment serves POST /v1/experiments/{id}: regenerate one paper table
+// or figure. The experiment runs on an exp.Runner whose every simulation is
+// a point executed through Exec — from swarmd's shared cache and worker
+// fleet, or on each point's home replica behind swarmgate — so repeated
+// figures are answered mostly from cache. format "text" returns the
+// human-readable tables; the machine-readable formats return the same
+// export the CLI emits.
+func (f *Front) Experiment(w http.ResponseWriter, r *http.Request) {
+	ctx, sp := Traced(w, r, f.Name+".experiment")
+	defer sp.End()
+	pt := obs.StartTimer()
+	e, err := exp.Find(r.PathValue("id"))
+	if err != nil {
+		pt.Observe(f.ParseHist)
+		api.WriteError(w, api.Errorf(api.CodeUnknownExperiment, "%v", err))
+		return
+	}
+	sp.SetAttr("experiment", e.ID)
+	var req api.ExperimentRequest
+	if aerr := api.DecodeRequest(w, r, &req); aerr != nil {
+		pt.Observe(f.ParseHist)
+		api.WriteError(w, aerr)
+		return
+	}
+	scale, seed, aerr := ParseHarness(req.Scale, req.Seed)
+	pt.Observe(f.ParseHist)
+	if aerr != nil {
+		api.WriteError(w, aerr)
+		return
+	}
+	format := req.Format
+	if format == "" {
+		format = "json"
+	}
+	switch format {
+	case "json", "csv", "ndjson", "text":
+	default:
+		// Reject up front: an experiment at full scale is minutes of work.
+		api.WriteError(w, api.UnknownFormat(format, api.ExperimentFormats))
+		return
+	}
+	opt := exp.DefaultOptions(scale)
+	opt.Seed = seed
+	opt.Parallel = f.Parallel
+	opt.Exec = func(ctx context.Context, p exp.Point) (*swarm.Stats, error) {
+		return f.stats(ctx, Config{Scale: scale, Seed: seed, Point: p})
+	}
+	if len(req.Cores) > 0 {
+		if aerr := CheckCores(req.Cores); aerr != nil {
+			api.WriteError(w, aerr)
+			return
+		}
+		opt.Cores = req.Cores
+	}
+	er := exp.NewRunner(opt)
+
+	var tables bytes.Buffer
+	var tableOut io.Writer = &tables
+	if format != "text" {
+		tableOut = io.Discard
+	}
+	if err := e.Run(ctx, er, tableOut); err != nil {
+		api.WriteError(w, RunError(err))
+		return
+	}
+	if f.OnExperiment != nil {
+		f.OnExperiment(e.ID)
+	}
+	if format == "text" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = w.Write(tables.Bytes())
+		return
+	}
+	WriteResultSet(w, er.Export(), format, api.ExperimentFormats)
 }
 
 // Sweep serves POST /v1/sweep: the grid's points fan out across the

@@ -411,6 +411,63 @@ func TestGatewayExperimentProxy(t *testing.T) {
 	})
 }
 
+// TestGatewayExperimentFansOut: the gateway runs an experiment itself, a
+// point at a time, each point on its home replica. fig2 and ablserial —
+// whose serialization-free runs are HintsNoSerial points like any other —
+// come back byte-identical to a single swarmd's in every format asked for,
+// both replicas serve some of the points, and the listing needs no
+// replica at all.
+func TestGatewayExperimentFansOut(t *testing.T) {
+	single := startReplica(t, "")
+	r1, r2 := startReplica(t, ""), startReplica(t, "")
+	g, ts := startGateway(t, r1.URL, r2.URL)
+	for _, tc := range []struct{ id, format string }{
+		{"fig2", "json"},
+		{"ablserial", "json"},
+		{"ablserial", "text"},
+	} {
+		body := `{"scale":"tiny","cores":[1,4],"format":"` + tc.format + `"}`
+		path := "/v1/experiments/" + tc.id
+		wantResp, want := post(t, single.URL, path, body)
+		if wantResp.StatusCode != http.StatusOK {
+			t.Fatalf("single %s %s status %d: %s", tc.id, tc.format, wantResp.StatusCode, want)
+		}
+		resp, got := post(t, ts.URL, path, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("gateway %s %s status %d: %s", tc.id, tc.format, resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s %s: gateway bytes differ from single swarmd:\n%s\nvs\n%s", tc.id, tc.format, got, want)
+		}
+		if ct, wct := resp.Header.Get("Content-Type"), wantResp.Header.Get("Content-Type"); ct != wct {
+			t.Errorf("%s %s: Content-Type %q, single swarmd %q", tc.id, tc.format, ct, wct)
+		}
+	}
+	for u, n := range g.Counters().Routed {
+		if n == 0 {
+			t.Errorf("replica %s was routed no experiment point", u)
+		}
+	}
+
+	r1.Close()
+	r2.Close()
+	resp, err := http.Get(ts.URL + "/v1/experiments")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	sresp, err := http.Get(single.URL + "/v1/experiments")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := io.ReadAll(sresp.Body)
+	sresp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("listing with the fleet down: %d %s, want %s", resp.StatusCode, got, want)
+	}
+}
+
 // TestGatewayHealthProbing: ProbeOnce demotes an unreachable replica and
 // re-admits it; /healthz reports the per-replica map.
 func TestGatewayHealthProbing(t *testing.T) {

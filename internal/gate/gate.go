@@ -1,8 +1,8 @@
 // Package gate is the fleet front door behind cmd/swarmgate: an HTTP
 // gateway exposing the same /v1 surface as a single swarmd (swarm/api
-// contract). Its run and sweep endpoints are the shared front end
-// (internal/front), which decomposes sweep grids point-by-point and
-// reassembles the canonical-order response; the gateway supplies the
+// contract). Its run, sweep and experiment endpoints are the shared front
+// end (internal/front), which decomposes sweep grids and experiments
+// point-by-point and reassembles the response; the gateway supplies the
 // point executor, which routes each point to one of a fleet of swarmd
 // replicas by rendezvous hashing of the point's configuration key, so
 // each point has a home replica whose LRU holds it, and executes it with
@@ -367,9 +367,8 @@ func (g *Gateway) allAdmitted(exclude int) []int {
 	return cands
 }
 
-// routeKey hashes s — a point's canonical configuration key, or an
-// experiment id — into pick's routing hint: 64-bit FNV-1a over the
-// bytes, mixed with the gateway seed.
+// routeKey hashes s — a point's canonical configuration key — into pick's
+// routing hint: 64-bit FNV-1a over the bytes, mixed with the gateway seed.
 func (g *Gateway) routeKey(s string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)

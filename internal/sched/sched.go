@@ -3,7 +3,8 @@
 // hint-based mapping (Hints), and the data-centric load balancer (LBHints,
 // Sec. VI) with its bucketed hint-to-tile indirection, committed-cycle
 // profiling, and periodic greedy reconfiguration. It also provides the
-// idle-task-proxy variant evaluated at the end of Sec. VI-A.
+// idle-task-proxy variant evaluated at the end of Sec. VI-A, and the
+// hint-mapping-only variant that separates the two parts of a spatial hint.
 package sched
 
 import (
@@ -31,6 +32,10 @@ const (
 	// LBIdleProxy is LBHints but balancing idle-task counts instead of
 	// committed cycles — the inferior proxy evaluated in Sec. VI-A.
 	LBIdleProxy
+	// HintsNoSerial maps tasks exactly as Hints does but drops same-hint
+	// dispatch serialization, separating the two parts of a spatial hint
+	// (Sec. III-B) for the serialization ablation.
+	HintsNoSerial
 )
 
 // String names the policy as the paper's figure legends do.
@@ -46,6 +51,8 @@ func (k Kind) String() string {
 		return "LBHints"
 	case LBIdleProxy:
 		return "LBIdleTasks"
+	case HintsNoSerial:
+		return "HintsNoSer"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -121,8 +128,8 @@ func (s *Scheduler) Kind() Kind { return s.kind }
 func (s *Scheduler) WantSteal() bool { return s.kind == Stealing }
 
 // SerializeSameHint reports whether dispatch should skip candidates whose
-// hashed hint matches an earlier running task. Enabled for all hint-aware
-// policies.
+// hashed hint matches an earlier running task. Enabled for every hint-aware
+// policy but HintsNoSerial.
 func (s *Scheduler) SerializeSameHint() bool {
 	return s.kind == Hints || s.kind == LBHints || s.kind == LBIdleProxy
 }
@@ -138,7 +145,7 @@ func (s *Scheduler) DestTile(t *task.Task, srcTile int) int {
 		return s.rng.Intn(s.tiles)
 	case Stealing:
 		return srcTile // enqueue locally; stealing happens at dispatch
-	case Hints:
+	case Hints, HintsNoSerial:
 		if t.HintKind == task.HintSame {
 			return srcTile // SAMEHINT with a hint-less parent: stay local
 		}

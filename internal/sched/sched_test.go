@@ -75,7 +75,7 @@ func TestSerializeSameHintFlag(t *testing.T) {
 			t.Fatalf("%v must serialize same-hint tasks", k)
 		}
 	}
-	for _, k := range []Kind{Random, Stealing} {
+	for _, k := range []Kind{Random, Stealing, HintsNoSerial} {
 		if New(k, 4, 100, 1, nil).SerializeSameHint() {
 			t.Fatalf("%v must not serialize by hint", k)
 		}
@@ -227,7 +227,7 @@ func TestNonLBKindsNeverReconfig(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	want := map[Kind]string{Random: "Random", Stealing: "Stealing", Hints: "Hints", LBHints: "LBHints", LBIdleProxy: "LBIdleTasks"}
+	want := map[Kind]string{Random: "Random", Stealing: "Stealing", Hints: "Hints", LBHints: "LBHints", LBIdleProxy: "LBIdleTasks", HintsNoSerial: "HintsNoSer"}
 	for k, w := range want {
 		if k.String() != w {
 			t.Fatalf("%d.String() = %q, want %q", int(k), k.String(), w)

@@ -1,24 +1,19 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 
-	"swarmhints/internal/exp"
 	"swarmhints/internal/fault"
 	"swarmhints/internal/front"
 	"swarmhints/internal/obs"
-	"swarmhints/swarm"
 	"swarmhints/swarm/api"
 )
 
-// The work-bearing run and sweep endpoints are the shared front end
-// (internal/front) over this service's cached, coalesced worker fleet, and
-// /metrics is front.Metrics over PromMetrics; the experiment endpoints and
-// health are swarmd's own.
+// The work-bearing run, sweep and experiment endpoints are the shared front
+// end (internal/front) over this service's cached, coalesced worker fleet,
+// and /metrics is front.Metrics over PromMetrics; health is swarmd's own.
 
 // Handler returns the service's HTTP API. The work-bearing endpoints pass
 // through the admission bound (admit); health, metrics, and the registry
@@ -33,12 +28,13 @@ func (s *Service) Handler() http.Handler {
 		ParseHist:    s.histParse,
 		BeforeRun:    s.runFaults,
 		BeforeLine:   s.stallFault,
+		OnExperiment: s.countExperiment,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.admit(fe.Run))
 	mux.HandleFunc("POST /v1/sweep", s.admit(fe.Sweep))
-	mux.HandleFunc("GET /v1/experiments", s.handleExperimentList)
-	mux.HandleFunc("POST /v1/experiments/{id}", s.admit(s.handleExperiment))
+	mux.HandleFunc("GET /v1/experiments", fe.Experiments)
+	mux.HandleFunc("POST /v1/experiments/{id}", s.admit(fe.Experiment))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", front.Metrics(s.PromMetrics))
 	obs.Default.Mount(mux)
@@ -107,94 +103,6 @@ func (s *Service) admit(h http.HandlerFunc) http.HandlerFunc {
 		}
 		h(w, r)
 	}
-}
-
-// handleExperimentList serves GET /v1/experiments: the paper's experiment
-// registry, in paper order.
-func (s *Service) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
-	list := make([]api.ExperimentInfo, 0, len(exp.Registry))
-	for _, e := range exp.Registry {
-		list = append(list, api.ExperimentInfo{ID: e.ID, Title: e.Title})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(list)
-}
-
-// handleExperiment serves POST /v1/experiments/{id}: regenerate one paper
-// table or figure as a service. Simulation points execute through the
-// shared cache and worker fleet, so repeated figures are answered mostly
-// from cache. format "text" returns the human-readable tables; the
-// machine-readable formats return the same export the CLI emits.
-func (s *Service) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	ctx, sp := front.Traced(w, r, "swarmd.experiment")
-	defer sp.End()
-	pt := obs.StartTimer()
-	e, err := exp.Find(r.PathValue("id"))
-	if err != nil {
-		pt.Observe(s.histParse)
-		api.WriteError(w, api.Errorf(api.CodeUnknownExperiment, "%v", err))
-		return
-	}
-	sp.SetAttr("experiment", e.ID)
-	var req api.ExperimentRequest
-	if aerr := api.DecodeRequest(w, r, &req); aerr != nil {
-		pt.Observe(s.histParse)
-		api.WriteError(w, aerr)
-		return
-	}
-	scale, seed, aerr := front.ParseHarness(req.Scale, req.Seed)
-	pt.Observe(s.histParse)
-	if aerr != nil {
-		api.WriteError(w, aerr)
-		return
-	}
-	format := req.Format
-	if format == "" {
-		format = "json"
-	}
-	switch format {
-	case "json", "csv", "ndjson", "text":
-	default:
-		// Reject up front: an experiment at full scale is minutes of work.
-		api.WriteError(w, api.UnknownFormat(format, api.ExperimentFormats))
-		return
-	}
-	opt := exp.DefaultOptions(scale)
-	opt.Seed = seed
-	opt.Parallel = s.opt.Workers
-	opt.Validate = s.opt.Validate
-	opt.Exec = func(ctx context.Context, p exp.Point) (*swarm.Stats, error) {
-		st, _, err := s.Stats(ctx, Config{Scale: scale, Seed: seed, Point: p})
-		return st, err
-	}
-	opt.Gate = s.AcquireSlot
-	if len(req.Cores) > 0 {
-		if aerr := front.CheckCores(req.Cores); aerr != nil {
-			api.WriteError(w, aerr)
-			return
-		}
-		opt.Cores = req.Cores
-	}
-	runner := exp.NewRunner(opt)
-
-	var tables bytes.Buffer
-	var tableOut io.Writer = &tables
-	if format != "text" {
-		tableOut = io.Discard
-	}
-	if err := e.Run(ctx, runner, tableOut); err != nil {
-		api.WriteError(w, front.RunError(err))
-		return
-	}
-	s.countExperiment(e.ID)
-	if format == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write(tables.Bytes())
-		return
-	}
-	front.WriteResultSet(w, runner.Export(), format, api.ExperimentFormats)
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {

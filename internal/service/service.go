@@ -1,6 +1,6 @@
 // Package service is the simulation-sweep serving layer behind cmd/swarmd:
-// a long-running HTTP/JSON front end over the experiment harness that
-// shards incoming work across a bounded worker fleet (internal/runner),
+// the point executor under the shared /v1 run, sweep and experiment front
+// end (internal/front). It runs every simulation on a bounded worker fleet,
 // coalesces duplicate in-flight configurations so each simulation executes
 // at most once (singleflight), and answers repeats from a size-bounded LRU
 // result cache keyed by the canonical configuration key internal/exp uses.
@@ -368,27 +368,15 @@ func (s *Service) Body(ctx context.Context, cfg Config) ([]byte, Source, error) 
 	return f.body, src, f.err
 }
 
-// Stats returns the statistics for one configuration through the same
-// tiers as Body, decoded from its body, for callers that compute on the
-// statistics themselves (the experiment runner).
-func (s *Service) Stats(ctx context.Context, cfg Config) (*swarm.Stats, Source, error) {
-	body, src, err := s.Body(ctx, cfg)
-	if err != nil {
-		return nil, src, err
-	}
-	sn, err := front.DecodeBody(cfg, body)
-	if err != nil {
-		return nil, src, err
-	}
-	return swarm.StatsFromSnapshot(sn), src, nil
-}
-
-// AcquireSlot blocks until a worker-fleet slot is free (or ctx dies) and
-// returns its release. It is the one gate every simulation the service
-// performs passes through — cacheable points via execute, bespoke
-// experiment runs via exp.Options.Gate — so the -workers bound holds
-// globally and the queue/in-flight gauges see all of them.
-func (s *Service) AcquireSlot(ctx context.Context) (release func(), err error) {
+// execute runs one simulation on the bounded worker fleet under the
+// flight's context. It is the one gate every simulation the service
+// performs passes through, so the -workers bound holds globally and the
+// queue/in-flight gauges see all of them. Waiting for a slot is
+// interruptible; once a slot is held the run itself is not (a simulation is
+// a pure function with no blocking points), so a flight abandoned by every
+// caller frees its queue position immediately and its worker after at most
+// one run.
+func (s *Service) execute(ctx context.Context, cfg Config) (*swarm.Stats, error) {
 	s.queued.Add(1)
 	select {
 	case s.sem <- struct{}{}:
@@ -398,23 +386,10 @@ func (s *Service) AcquireSlot(ctx context.Context) (release func(), err error) {
 		return nil, ctx.Err()
 	}
 	s.inflight.Add(1)
-	return func() {
+	defer func() {
 		s.inflight.Add(-1)
 		<-s.sem
-	}, nil
-}
-
-// execute runs one simulation on the bounded worker fleet under the
-// flight's context. Waiting for a slot is interruptible; once a slot is
-// held the run itself is not (a simulation is a pure function with no
-// blocking points), so a flight abandoned by every caller frees its queue
-// position immediately and its worker after at most one run.
-func (s *Service) execute(ctx context.Context, cfg Config) (*swarm.Stats, error) {
-	release, err := s.AcquireSlot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
+	}()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

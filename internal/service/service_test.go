@@ -15,9 +15,24 @@ import (
 
 	"swarmhints/internal/bench"
 	"swarmhints/internal/exp"
+	"swarmhints/internal/front"
 	"swarmhints/swarm"
 	"swarmhints/swarm/api"
 )
+
+// Stats returns the statistics for one configuration through the same
+// tiers as Body, decoded from its body, with the tier that answered.
+func (s *Service) Stats(ctx context.Context, cfg Config) (*swarm.Stats, Source, error) {
+	body, src, err := s.Body(ctx, cfg)
+	if err != nil {
+		return nil, src, err
+	}
+	sn, err := front.DecodeBody(cfg, body)
+	if err != nil {
+		return nil, src, err
+	}
+	return swarm.StatsFromSnapshot(sn), src, nil
+}
 
 // tinyConfig is the cheap configuration the unit tests hammer.
 func tinyConfig(name string, cores int) Config {

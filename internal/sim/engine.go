@@ -637,7 +637,7 @@ func (e *Engine) tryDispatch(coreID int) bool {
 // hint matches an earlier-order running task on the tile (Sec. III-B).
 func (e *Engine) pickCandidate(tile int) *task.Task {
 	q := e.queues[tile]
-	if !e.schd.SerializeSameHint() || e.cfg.DisableSerialization {
+	if !e.schd.SerializeSameHint() {
 		return q.PeekEarliest()
 	}
 	if m := &e.pickMemo[tile]; m.ok && m.ver == m.memoVer {

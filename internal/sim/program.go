@@ -80,11 +80,6 @@ type Config struct {
 	MaxCycles uint64 // watchdog; 0 = default
 	Profile   bool   // collect the Fig. 3/6 access classification
 
-	// DisableSerialization turns off the same-hint dispatch serialization
-	// of Sec. III-B while keeping hint-based spatial mapping. Used by the
-	// ablation experiment to separate the two mechanisms.
-	DisableSerialization bool
-
 	// useHeapEvents selects the pre-calendar-queue binary-heap event queue.
 	// Unexported: only the differential tests flip it, to prove the calendar
 	// queue and the reference heap drive byte-identical runs.

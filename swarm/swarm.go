@@ -95,11 +95,12 @@ func MergeStats(runs []*Stats) (*Stats, error) { return sim.MergeStats(runs) }
 
 // Scheduler kinds (Sec. II-C and VI of the paper).
 const (
-	Random      = sched.Random
-	Stealing    = sched.Stealing
-	Hints       = sched.Hints
-	LBHints     = sched.LBHints
-	LBIdleProxy = sched.LBIdleProxy
+	Random        = sched.Random
+	Stealing      = sched.Stealing
+	Hints         = sched.Hints
+	LBHints       = sched.LBHints
+	LBIdleProxy   = sched.LBIdleProxy
+	HintsNoSerial = sched.HintsNoSerial
 )
 
 // SchedKind selects the spatial task-mapping policy.

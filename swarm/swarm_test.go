@@ -47,7 +47,7 @@ func TestRootKinds(t *testing.T) {
 }
 
 func TestAllSchedulersExposed(t *testing.T) {
-	for _, k := range []swarm.SchedKind{swarm.Random, swarm.Stealing, swarm.Hints, swarm.LBHints, swarm.LBIdleProxy} {
+	for _, k := range []swarm.SchedKind{swarm.Random, swarm.Stealing, swarm.Hints, swarm.LBHints, swarm.LBIdleProxy, swarm.HintsNoSerial} {
 		p := swarm.NewProgram()
 		a := p.Mem.AllocWords(1)
 		fn := p.Register("w", func(c *swarm.Ctx) { c.Write(a, c.Read(a)+1) })
