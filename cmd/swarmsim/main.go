@@ -59,6 +59,17 @@ import (
 	"swarmhints/swarm"
 )
 
+// schedWidth is the sweep tables' sched column width: the longest
+// scheduler legend, so no Kind.String() overflows into the next column.
+var schedWidth = func() int {
+	w := 0
+	for _, k := range []swarm.SchedKind{swarm.Random, swarm.Stealing, swarm.Hints,
+		swarm.LBHints, swarm.LBIdleProxy, swarm.HintsNoSerial} {
+		w = max(w, len(k.String()))
+	}
+	return w
+}()
+
 // sweepFields is the label column order of the sweep's result set.
 var sweepFields = []string{"bench", "sched", "cores", "taskq", "commitq", "replica", "seed", "scale"}
 
@@ -283,12 +294,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !output.ReplacesHuman() {
 		switch {
 		case merged:
-			fmt.Fprintf(stdout, "%-10s %-9s %6s %6s %7s %5s %14s %20s %10s %8s %12s\n",
-				"bench", "sched", "cores", "taskq", "commitq", "seeds", "cycles", "cycles/seed", "tasks", "aborts", "flits")
+			fmt.Fprintf(stdout, "%-10s %-*s %6s %6s %7s %5s %14s %20s %10s %8s %12s\n",
+				"bench", schedWidth, "sched", "cores", "taskq", "commitq", "seeds", "cycles", "cycles/seed", "tasks", "aborts", "flits")
 			for _, r := range recs {
 				st, sm := r.st, r.st.SeedSummary
-				fmt.Fprintf(stdout, "%-10s %-9s %6s %6s %7s %5s %14d %14.0f±%-5.0f %10d %8d %12d\n",
-					r.labels["bench"], r.labels["sched"], r.labels["cores"],
+				fmt.Fprintf(stdout, "%-10s %-*s %6s %6s %7s %5s %14d %14.0f±%-5.0f %10d %8d %12d\n",
+					r.labels["bench"], schedWidth, r.labels["sched"], r.labels["cores"],
 					r.labels["taskq"], r.labels["commitq"], r.labels["seeds"],
 					st.Cycles, sm.Cycles.Mean, sm.Cycles.Stddev,
 					st.CommittedTasks, st.AbortedAttempts, st.TotalTraffic())
@@ -296,12 +307,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		case len(recs) == 1:
 			printDetailed(stdout, cfgs[0].Point, cfgs[0].machine, *scaleName, *validate, recs[0].st)
 		default:
-			fmt.Fprintf(stdout, "%-10s %-9s %6s %6s %7s %4s %14s %10s %8s %8s %12s\n",
-				"bench", "sched", "cores", "taskq", "commitq", "rep", "cycles", "tasks", "aborts", "spills", "flits")
+			fmt.Fprintf(stdout, "%-10s %-*s %6s %6s %7s %4s %14s %10s %8s %8s %12s\n",
+				"bench", schedWidth, "sched", "cores", "taskq", "commitq", "rep", "cycles", "tasks", "aborts", "spills", "flits")
 			for _, r := range recs {
 				st := r.st
-				fmt.Fprintf(stdout, "%-10s %-9s %6s %6s %7s %4s %14d %10d %8d %8d %12d\n",
-					r.labels["bench"], r.labels["sched"], r.labels["cores"],
+				fmt.Fprintf(stdout, "%-10s %-*s %6s %6s %7s %4s %14d %10d %8d %8d %12d\n",
+					r.labels["bench"], schedWidth, r.labels["sched"], r.labels["cores"],
 					r.labels["taskq"], r.labels["commitq"], r.labels["replica"],
 					st.Cycles, st.CommittedTasks, st.AbortedAttempts, st.SpilledTasks, st.TotalTraffic())
 			}

@@ -91,9 +91,6 @@ func New[T any](window int) *Queue[T] {
 // Len returns the number of queued entries.
 func (q *Queue[T]) Len() int { return q.size }
 
-// Window returns the ring's width in cycles.
-func (q *Queue[T]) Window() int { return int(q.window) }
-
 // OverflowLen returns how many entries currently wait beyond the horizon,
 // exposed for tests and occupancy diagnostics.
 func (q *Queue[T]) OverflowLen() int { return q.over.len() }

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"swarmhints/internal/exp"
 	"swarmhints/internal/front"
 	"swarmhints/internal/service"
 	"swarmhints/internal/store"
@@ -421,6 +422,7 @@ func TestGatewayExperimentFansOut(t *testing.T) {
 	single := startReplica(t, "")
 	r1, r2 := startReplica(t, ""), startReplica(t, "")
 	g, ts := startGateway(t, r1.URL, r2.URL)
+	client := api.NewClient(ts.URL, nil)
 	for _, tc := range []struct{ id, format string }{
 		{"fig2", "json"},
 		{"ablserial", "json"},
@@ -441,6 +443,24 @@ func TestGatewayExperimentFansOut(t *testing.T) {
 		}
 		if ct, wct := resp.Header.Get("Content-Type"), wantResp.Header.Get("Content-Type"); ct != wct {
 			t.Errorf("%s %s: Content-Type %q, single swarmd %q", tc.id, tc.format, ct, wct)
+		}
+
+		// The typed client reaches the same bytes through the gateway.
+		rc, ct, err := client.Experiment(context.Background(), tc.id,
+			api.ExperimentRequest{Scale: "tiny", Cores: []int{1, 4}, Format: tc.format})
+		if err != nil {
+			t.Fatalf("client %s %s: %v", tc.id, tc.format, err)
+		}
+		cgot, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cgot, want) {
+			t.Errorf("%s %s: client bytes differ from single swarmd:\n%s\nvs\n%s", tc.id, tc.format, cgot, want)
+		}
+		if wct := wantResp.Header.Get("Content-Type"); ct != wct {
+			t.Errorf("%s %s: client Content-Type %q, single swarmd %q", tc.id, tc.format, ct, wct)
 		}
 	}
 	for u, n := range g.Counters().Routed {
@@ -465,6 +485,18 @@ func TestGatewayExperimentFansOut(t *testing.T) {
 	sresp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
 		t.Errorf("listing with the fleet down: %d %s, want %s", resp.StatusCode, got, want)
+	}
+	list, err := client.Experiments(context.Background())
+	if err != nil {
+		t.Fatalf("client listing with the fleet down: %v", err)
+	}
+	if len(list) != len(exp.Registry) {
+		t.Fatalf("client listed %d experiments, registry has %d", len(list), len(exp.Registry))
+	}
+	for i, e := range exp.Registry {
+		if list[i] != (api.ExperimentInfo{ID: e.ID, Title: e.Title}) {
+			t.Errorf("client listing[%d] = %+v, want {%s %s}", i, list[i], e.ID, e.Title)
+		}
 	}
 }
 

@@ -136,9 +136,6 @@ func (m *Memory) StoreRaw(addr, val uint64) {
 	p[off] = val
 }
 
-// Seq returns the current global write sequence number.
-func (m *Memory) Seq() uint64 { return m.nextSeq }
-
 // Alloc reserves n bytes and returns the base address, 64-byte aligned so
 // objects never straddle allocation boundaries unintentionally.
 func (m *Memory) Alloc(n uint64) uint64 {
@@ -186,33 +183,18 @@ func (l *UndoLog) Reset() { l.entries = l.entries[:0] }
 // to grow a log inside their slabs and to shed an oversized buffer.
 func (l *UndoLog) SetEntries(buf []UndoEntry) { l.entries = buf }
 
-// Rollback restores the undo entries of a set of aborting tasks. Entries
-// must be restored in descending global sequence order so that overlapping
-// writes by different tasks unwind to the exact pre-speculation values; this
-// function merges and sorts the logs and applies them.
-func Rollback(m *Memory, logs []*UndoLog) {
-	RollbackInto(m, logs, nil)
-}
-
-// RollbackInto is Rollback with a caller-owned merge buffer: it reuses
-// scratch's capacity for the merged log and returns the (possibly grown)
-// buffer so a long-lived caller — the engine's abort path — can amortize
-// the allocation across aborts.
+// RollbackInto restores the undo entries of a set of aborting tasks and
+// resets their logs. Entries must be restored in descending global sequence
+// order so that overlapping writes by different tasks unwind to the exact
+// pre-speculation values. Each log is individually Seq-sorted ascending (a
+// task appends as it writes), so the descending order is a k-way merge over
+// the log tails — O(n log k), and a plain backward walk for one log.
 //
-// Each log is individually Seq-sorted ascending (a task appends as it
-// writes), so for more than two logs the descending merge is a k-way merge
-// over the log tails — O(n log k) instead of sorting the concatenation. One
-// or two logs concatenate and use sortUndoDesc directly.
+// The merged log goes into scratch's capacity, and the (possibly grown)
+// buffer is returned so a long-lived caller — the engine's abort path — can
+// amortize the allocation across aborts.
 func RollbackInto(m *Memory, logs []*UndoLog, scratch []UndoEntry) []UndoEntry {
-	all := scratch[:0]
-	if len(logs) <= 2 {
-		for _, l := range logs {
-			all = append(all, l.entries...)
-		}
-		sortUndoDesc(all)
-	} else {
-		all = mergeUndoDesc(all, logs)
-	}
+	all := mergeUndoDesc(scratch[:0], logs)
 	for _, e := range all {
 		m.StoreRaw(e.Addr, e.Old)
 	}
@@ -315,49 +297,4 @@ func (p *Pool[T]) Get() *T {
 // other live reference to it remains.
 func (p *Pool[T]) Put(t *T) {
 	p.free = append(p.free, t)
-}
-
-func sortUndoDesc(a []UndoEntry) {
-	// Insertion sort is fine for typical abort-set sizes; fall back to
-	// heapify-style for large sets.
-	if len(a) > 64 {
-		quickSortUndo(a, 0, len(a)-1)
-		return
-	}
-	for i := 1; i < len(a); i++ {
-		e := a[i]
-		j := i - 1
-		for j >= 0 && a[j].Seq < e.Seq {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = e
-	}
-}
-
-func quickSortUndo(a []UndoEntry, lo, hi int) {
-	for lo < hi {
-		p := a[(lo+hi)/2].Seq
-		i, j := lo, hi
-		for i <= j {
-			for a[i].Seq > p {
-				i++
-			}
-			for a[j].Seq < p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickSortUndo(a, lo, j)
-			lo = i
-		} else {
-			quickSortUndo(a, i, hi)
-			hi = j
-		}
-	}
 }

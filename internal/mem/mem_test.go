@@ -69,7 +69,7 @@ func TestSingleLogRollback(t *testing.T) {
 	log.Append(UndoEntry{Addr: a, Old: old, Seq: seq})
 	old, seq = m.Store(a+8, 55)
 	log.Append(UndoEntry{Addr: a + 8, Old: old, Seq: seq})
-	Rollback(m, []*UndoLog{&log})
+	RollbackInto(m, []*UndoLog{&log}, nil)
 	if m.Load(a) != 10 || m.Load(a+8) != 0 {
 		t.Fatalf("rollback failed: got %d,%d want 10,0", m.Load(a), m.Load(a+8))
 	}
@@ -92,46 +92,59 @@ func TestInterleavedRollback(t *testing.T) {
 	lb.Append(UndoEntry{a, old, seq})
 	old, seq = m.Store(a, 4) // task A writes again
 	la.Append(UndoEntry{a, old, seq})
-	Rollback(m, []*UndoLog{&la, &lb})
+	RollbackInto(m, []*UndoLog{&la, &lb}, nil)
 	if got := m.Load(a); got != 1 {
 		t.Fatalf("interleaved rollback: got %d, want 1", got)
 	}
 }
 
 // TestRandomRollbackProperty: any random interleaving of speculative writes
-// by k tasks, rolled back together, restores the initial state exactly.
+// by k tasks, rolled back together, restores the initial state exactly, and
+// RollbackInto applies the merged log in strictly descending Seq order. The
+// log counts cover one log, two, a few, and more than the merge's 16-cursor
+// stack buffer holds.
 func TestRandomRollbackProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := New()
-		const words = 16
-		base := m.AllocWords(words)
-		initial := make([]uint64, words)
-		for i := range initial {
-			initial[i] = rng.Uint64() % 100
-			m.StoreRaw(base+uint64(i*WordSize), initial[i])
-		}
-		logs := make([]*UndoLog, 4)
-		for i := range logs {
-			logs[i] = &UndoLog{}
-		}
-		for n := 0; n < 200; n++ {
-			task := rng.Intn(len(logs))
-			w := uint64(rng.Intn(words))
-			addr := base + w*WordSize
-			old, seq := m.Store(addr, rng.Uint64())
-			logs[task].Append(UndoEntry{addr, old, seq})
-		}
-		Rollback(m, logs)
-		for i, want := range initial {
-			if m.Load(base+uint64(i*WordSize)) != want {
+	for _, k := range []int{1, 2, 4, 17} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			m := New()
+			const words = 16
+			base := m.AllocWords(words)
+			initial := make([]uint64, words)
+			for i := range initial {
+				initial[i] = rng.Uint64() % 100
+				m.StoreRaw(base+uint64(i*WordSize), initial[i])
+			}
+			logs := make([]*UndoLog, k)
+			for i := range logs {
+				logs[i] = &UndoLog{}
+			}
+			for n := 0; n < 200; n++ {
+				task := rng.Intn(len(logs))
+				w := uint64(rng.Intn(words))
+				addr := base + w*WordSize
+				old, seq := m.Store(addr, rng.Uint64())
+				logs[task].Append(UndoEntry{addr, old, seq})
+			}
+			merged := RollbackInto(m, logs, nil)
+			if len(merged) != 200 {
 				return false
 			}
+			for i := 1; i < len(merged); i++ {
+				if merged[i-1].Seq <= merged[i].Seq {
+					return false
+				}
+			}
+			for i, want := range initial {
+				if m.Load(base+uint64(i*WordSize)) != want {
+					return false
+				}
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatalf("%d logs: %v", k, err)
+		}
 	}
 }
 
@@ -145,7 +158,7 @@ func TestPartialRollback(t *testing.T) {
 	la.Append(UndoEntry{a, old, seq})
 	old, seq = m.Store(b, 22)
 	lb.Append(UndoEntry{b, old, seq})
-	Rollback(m, []*UndoLog{&lb})
+	RollbackInto(m, []*UndoLog{&lb}, nil)
 	if m.Load(a) != 11 {
 		t.Fatal("partial rollback clobbered an unrelated task's write")
 	}
@@ -164,7 +177,7 @@ func TestLineAddr(t *testing.T) {
 }
 
 func TestLargeUndoSort(t *testing.T) {
-	// Exercise the quicksort path (>64 entries).
+	// One long log: the merge walks it backward in a single pass.
 	m := New()
 	base := m.AllocWords(8)
 	var log UndoLog
@@ -174,7 +187,7 @@ func TestLargeUndoSort(t *testing.T) {
 		old, seq := m.Store(addr, uint64(i+1))
 		log.Append(UndoEntry{addr, old, seq})
 	}
-	Rollback(m, []*UndoLog{&log})
+	RollbackInto(m, []*UndoLog{&log}, nil)
 	for i := 0; i < 8; i++ {
 		if m.Load(base+uint64(i*WordSize)) != 0 {
 			t.Fatalf("word %d not restored to 0", i)

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -89,13 +90,13 @@ func TestOutOfRangeStorePanics(t *testing.T) {
 	New().StoreRaw(1<<60, 1)
 }
 
-// TestKWayMergeMatchesSort checks RollbackInto's >2-log merge path against
-// the concatenate-and-sort reference on random interleavings, including
-// empty logs in the set.
+// TestKWayMergeMatchesSort checks RollbackInto's merge against the
+// concatenate-and-sort reference on random interleavings of 1 to 22 logs,
+// including empty logs in the set.
 func TestKWayMergeMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
-		nLogs := 3 + rng.Intn(20)
+		nLogs := 1 + rng.Intn(22)
 		logs := make([]*UndoLog, nLogs)
 		for i := range logs {
 			logs[i] = &UndoLog{}
@@ -108,7 +109,7 @@ func TestKWayMergeMatchesSort(t *testing.T) {
 			logs[rng.Intn(nLogs)].Append(e)
 			ref = append(ref, e)
 		}
-		sortUndoDesc(ref)
+		sort.Slice(ref, func(i, j int) bool { return ref[i].Seq > ref[j].Seq })
 		got := mergeUndoDesc(nil, logs)
 		if len(got) != len(ref) {
 			t.Fatalf("trial %d: merged %d entries, want %d", trial, len(got), len(ref))
@@ -142,7 +143,7 @@ func TestRollbackManyLogs(t *testing.T) {
 		old, seq := m.Store(addr, rng.Uint64())
 		logs[rng.Intn(len(logs))].Append(UndoEntry{addr, old, seq})
 	}
-	Rollback(m, logs)
+	RollbackInto(m, logs, nil)
 	for i, want := range initial {
 		if got := m.Load(base + uint64(i*WordSize)); got != want {
 			t.Fatalf("word %d = %d, want %d", i, got, want)

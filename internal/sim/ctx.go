@@ -57,7 +57,7 @@ func (c *Ctx) Hint() uint64 { return c.t.Hint }
 func (c *Ctx) Read(addr uint64) uint64 {
 	e := c.e
 	c.cycles += uint64(e.hier.Access(c.core, c.tile, addr, false, noc.MsgMem))
-	c.cycles += e.cfg.ConflictCheckCycles
+	c.cycles += conflictCheckCycles
 	for {
 		ws := e.index.LaterWriters(addr, c.t.Ord(), c.t, c.tile)
 		if len(ws) == 0 {
@@ -67,7 +67,7 @@ func (c *Ctx) Read(addr uint64) uint64 {
 			// Remote conflicts are slower: the abort handshake crosses the
 			// NoC, so local (same-tile) conflicts resolve much faster —
 			// the property that makes hint serialization pay (Sec. II-C).
-			c.cycles += e.cfg.AbortBaseCycles + 2*uint64(e.mesh.Latency(c.tile, w.Tile))
+			c.cycles += abortBaseCycles + 2*uint64(e.mesh.Latency(c.tile, w.Tile))
 			e.abort(w)
 		}
 	}
@@ -84,14 +84,14 @@ func (c *Ctx) Read(addr uint64) uint64 {
 func (c *Ctx) Write(addr, val uint64) {
 	e := c.e
 	c.cycles += uint64(e.hier.Access(c.core, c.tile, addr, true, noc.MsgMem))
-	c.cycles += e.cfg.ConflictCheckCycles
+	c.cycles += conflictCheckCycles
 	for {
 		us := e.index.LaterAccessors(addr, c.t.Ord(), c.t, c.tile)
 		if len(us) == 0 {
 			break
 		}
 		for _, u := range us {
-			c.cycles += e.cfg.AbortBaseCycles + 2*uint64(e.mesh.Latency(c.tile, u.Tile))
+			c.cycles += abortBaseCycles + 2*uint64(e.mesh.Latency(c.tile, u.Tile))
 			e.abort(u)
 		}
 	}
@@ -107,20 +107,20 @@ func (c *Ctx) Compute(n uint64) { c.cycles += n }
 // Enqueue creates a child task with an integer spatial hint
 // (swarm::enqueue(taskFn, ts, hint, args...), Sec. III-A).
 func (c *Ctx) Enqueue(fn task.FnID, ts uint64, hint uint64, args ...uint64) {
-	c.cycles += c.e.cfg.TaskOpCycles
+	c.cycles += taskOpCycles
 	c.e.enqueue(c.t, c.tile, fn, ts, task.HintInt, hint, args...)
 }
 
 // EnqueueNoHint creates a child with NOHINT: the data it will access is
 // unknown, so placement is random.
 func (c *Ctx) EnqueueNoHint(fn task.FnID, ts uint64, args ...uint64) {
-	c.cycles += c.e.cfg.TaskOpCycles
+	c.cycles += taskOpCycles
 	c.e.enqueue(c.t, c.tile, fn, ts, task.HintNone, 0, args...)
 }
 
 // EnqueueSameHint creates a child with SAMEHINT: it inherits this task's
 // hint (and with it, this task's tile) to exploit parent-child locality.
 func (c *Ctx) EnqueueSameHint(fn task.FnID, ts uint64, args ...uint64) {
-	c.cycles += c.e.cfg.TaskOpCycles
+	c.cycles += taskOpCycles
 	c.e.enqueue(c.t, c.tile, fn, ts, task.HintSame, 0, args...)
 }

@@ -26,88 +26,19 @@ const (
 	evWake // no-op: forces a dispatch attempt when a rollback window ends
 )
 
+// event is the calendar queue's payload: everything but the (time, seq)
+// key, which calq carries itself. Keys are unique, so the event stream is a
+// pure function of the schedule sequence and fully deterministic.
 type event struct {
-	time uint64
-	seq  uint64
 	kind int
 	core int
 	gen  uint64 // core generation for stale-completion detection
-}
-
-// evPayload is the calendar queue's view of an event: everything but the
-// (time, seq) key, which calq carries itself.
-type evPayload struct {
-	kind int
-	core int
-	gen  uint64
 }
 
 // eventWindow is the calendar queue's ring width in cycles. Almost every
 // event lands within a task length or a GVT interval of now, far inside
 // this horizon; the rare long-latency stragglers ride calq's overflow heap.
 const eventWindow = 1024
-
-// before is the event order: time, then schedule sequence. (time, seq) pairs
-// are unique, so queue restructuring can never reorder equal keys and the
-// event stream is fully deterministic.
-func (e event) before(f event) bool {
-	if e.time != f.time {
-		return e.time < f.time
-	}
-	return e.seq < f.seq
-}
-
-// eventHeap is the reference event queue: the binary min-heap the engine
-// used before the calendar queue. It is retained behind Config.useHeapEvents
-// so the differential matrix test can prove the two produce byte-identical
-// runs; the sift loops move the displaced event through a hole — one copy
-// per level instead of a swap's two.
-type eventHeap []event
-
-func (h *eventHeap) push(e event) {
-	hs := append(*h, e)
-	*h = hs
-	i := len(hs) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.before(hs[p]) {
-			break
-		}
-		hs[i] = hs[p]
-		i = p
-	}
-	hs[i] = e
-}
-
-func (h *eventHeap) pop() event {
-	hs := *h
-	top := hs[0]
-	last := len(hs) - 1
-	e := hs[last]
-	hs = hs[:last]
-	*h = hs
-	if last == 0 {
-		return top
-	}
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= last {
-			break
-		}
-		s := l
-		if r := l + 1; r < last && hs[r].before(hs[l]) {
-			s = r
-		}
-		if !hs[s].before(e) {
-			break
-		}
-		hs[i] = hs[s]
-		i = s
-	}
-	hs[i] = e
-	return top
-}
 
 type coreState struct {
 	tile      int
@@ -139,13 +70,10 @@ type Engine struct {
 	// events is the engine's pending-event queue, popped once per simulated
 	// wake-up — one of the hottest structures in the engine. The calendar
 	// queue gives amortized O(1) push/pop for the near-horizon events a
-	// cycle-driven run produces; heapEv is the pre-calq reference engine,
-	// active only when cfg.useHeapEvents is set (differential tests).
-	events  *calq.Queue[evPayload]
-	heapEv  eventHeap
-	useHeap bool
-	evSeq   uint64
-	now     uint64
+	// cycle-driven run produces.
+	events *calq.Queue[event]
+	evSeq  uint64
+	now    uint64
 
 	nextID uint64
 	live   int64 // tasks neither committed nor squashed
@@ -210,13 +138,14 @@ func newEngine(p *Program, cfg Config) *Engine {
 	tiles := cfg.Tiles()
 	rec := metrics.New(tiles)
 	e := &Engine{
-		cfg:   cfg,
-		prog:  p,
-		rec:   rec,
-		mesh:  noc.New(cfg.MeshK, rec),
-		index: conflict.NewIndex(rec),
-		arb:   gvt.NewArbiter(cfg.GVTInterval),
-		schd:  sched.New(cfg.Scheduler, tiles, cfg.LBInterval, cfg.Seed, rec),
+		cfg:    cfg,
+		prog:   p,
+		rec:    rec,
+		mesh:   noc.New(cfg.MeshK, rec),
+		index:  conflict.NewIndex(rec),
+		arb:    gvt.NewArbiter(gvtInterval),
+		schd:   sched.New(cfg.Scheduler, tiles, cfg.LBInterval, cfg.Seed, rec),
+		events: calq.New[event](eventWindow),
 	}
 	e.hier = cache.New(cfg.Cache, e.mesh, cfg.CoresPerTile)
 	e.queues = make([]*task.Queue, tiles)
@@ -235,10 +164,6 @@ func newEngine(p *Program, cfg Config) *Engine {
 	e.gvtRunning = make([][]*task.Task, tiles)
 	e.pickMemo = make([]pickMemo, tiles)
 	e.idleScratch = make([]int, tiles)
-	e.useHeap = cfg.useHeapEvents
-	if !e.useHeap {
-		e.events = calq.New[evPayload](eventWindow)
-	}
 	if cfg.Profile {
 		e.prof = newProfiler()
 	}
@@ -260,23 +185,23 @@ func (e *Engine) run() (*Stats, error) {
 		if e.live == 0 {
 			break
 		}
-		if e.pendingEvents() == 0 {
+		if e.events.Len() == 0 {
 			return nil, fmt.Errorf("sim: no events pending with %d live tasks (deadlock)", e.live)
 		}
-		ev := e.popEvent()
-		if ev.time > maxCycles {
-			return nil, fmt.Errorf("%w at cycle %d (%d live tasks)\n%s", ErrWatchdog, ev.time, e.live, e.dumpState())
+		ev := e.events.Pop()
+		if ev.Time > maxCycles {
+			return nil, fmt.Errorf("%w at cycle %d (%d live tasks)\n%s", ErrWatchdog, ev.Time, e.live, e.dumpState())
 		}
-		e.now = ev.time
-		e.handle(ev)
+		e.now = ev.Time
+		e.handle(ev.V)
 		// Drain every event scheduled for this same cycle before
 		// re-attempting dispatch, so the cycle's state is settled.
 		for {
-			t, ok := e.peekEventTime()
+			t, ok := e.events.PeekTime()
 			if !ok || t != e.now {
 				break
 			}
-			e.handle(e.popEvent())
+			e.handle(e.events.Pop().V)
 		}
 	}
 
@@ -351,36 +276,7 @@ func (e *Engine) finalizeStats() {
 
 func (e *Engine) schedule(kind int, t uint64, core int, gen uint64) {
 	e.evSeq++
-	if e.useHeap {
-		e.heapEv.push(event{time: t, seq: e.evSeq, kind: kind, core: core, gen: gen})
-		return
-	}
-	e.events.Push(t, e.evSeq, evPayload{kind: kind, core: core, gen: gen})
-}
-
-func (e *Engine) pendingEvents() int {
-	if e.useHeap {
-		return len(e.heapEv)
-	}
-	return e.events.Len()
-}
-
-func (e *Engine) popEvent() event {
-	if e.useHeap {
-		return e.heapEv.pop()
-	}
-	en := e.events.Pop()
-	return event{time: en.Time, seq: en.Seq, kind: en.V.kind, core: en.V.core, gen: en.V.gen}
-}
-
-func (e *Engine) peekEventTime() (uint64, bool) {
-	if e.useHeap {
-		if len(e.heapEv) == 0 {
-			return 0, false
-		}
-		return e.heapEv[0].time, true
-	}
-	return e.events.PeekTime()
+	e.events.Push(t, e.evSeq, event{kind: kind, core: core, gen: gen})
 }
 
 func (e *Engine) handle(ev event) {
@@ -430,7 +326,7 @@ func (e *Engine) gvtRound() {
 		}
 	}
 	for i, q := range e.queues {
-		mins[i] = q.EarliestUncommitted(runningOf[i], nil)
+		mins[i] = q.EarliestUncommitted(runningOf[i])
 	}
 	g := e.arb.Update(e.now, mins)
 
@@ -455,7 +351,7 @@ func (e *Engine) gvtRound() {
 
 	// Commits freed queue space: pull spilled tasks back in.
 	for tile, q := range e.queues {
-		if q.SpilledCount() > 0 && !q.NearlyFull(e.cfg.SpillThresholdPct) {
+		if q.SpilledCount() > 0 && !q.NearlyFull(spillThresholdPct) {
 			e.refill(tile)
 		}
 	}
@@ -520,7 +416,7 @@ func (e *Engine) enqueue(parent *task.Task, fromTile int, fn task.FnID, ts uint6
 	}
 	q := e.queues[dest]
 	e.bumpPick(dest)
-	if q.NearlyFull(e.cfg.SpillThresholdPct) {
+	if q.NearlyFull(spillThresholdPct) {
 		e.spill(dest)
 	}
 	if !q.Enqueue(t) {
@@ -541,21 +437,21 @@ func (e *Engine) enqueue(parent *task.Task, fromTile int, fn task.FnID, ts uint6
 // spill fires the tile's coalescer (Sec. II-B / Table II).
 func (e *Engine) spill(tile int) {
 	e.bumpPick(tile)
-	sp := e.queues[tile].Spill(e.cfg.SpillBatch)
+	sp := e.queues[tile].Spill(spillBatch)
 	tc := e.rec.Tile(tile)
 	for _, t := range sp {
 		tc.SpilledTasks++
-		tc.SpillCycles += e.cfg.SpillCyclesPer
+		tc.SpillCycles += spillCyclesPer
 		e.mesh.SendToEdge(noc.MsgMem, tile, task.DescriptorBytes(t))
 	}
 }
 
 func (e *Engine) refill(tile int) {
 	e.bumpPick(tile)
-	back := e.queues[tile].Refill(e.cfg.SpillBatch)
+	back := e.queues[tile].Refill(spillBatch)
 	tc := e.rec.Tile(tile)
 	for _, t := range back {
-		tc.SpillCycles += e.cfg.SpillCyclesPer
+		tc.SpillCycles += spillCyclesPer
 		e.mesh.SendToEdge(noc.MsgMem, tile, task.DescriptorBytes(t))
 	}
 }
@@ -605,7 +501,7 @@ func (e *Engine) tryDispatch(coreID int) bool {
 		// us — the candidate itself may be holding GVT back), abort the
 		// latest speculative task on this tile to make room ("aborting
 		// higher-timestamp tasks to free space", Sec. II-B).
-		blockedLong := cs.reason == idleCommitQ && e.now-cs.idleSince >= 2*e.cfg.GVTInterval
+		blockedLong := cs.reason == idleCommitQ && e.now-cs.idleSince >= 2*gvtInterval
 		var victim *task.Task
 		if blockedLong {
 			victim = e.latestSpeculative(tile)
@@ -723,9 +619,9 @@ func (e *Engine) execute(t *task.Task, coreID int) {
 	// heap on every dispatch through the dynamic task-function call.
 	ctx := &e.ctxs[coreID]
 	*ctx = Ctx{e: e, t: t, core: coreID, tile: cs.tile,
-		cycles: e.cfg.TaskOpCycles + e.cfg.BaseTaskCycles}
+		cycles: taskOpCycles + baseTaskCycles}
 	e.prog.fns[t.Fn](ctx)
-	ctx.cycles += e.cfg.TaskOpCycles // finish-task op
+	ctx.cycles += taskOpCycles // finish-task op
 	t.RunCycles = ctx.cycles
 	cs.busyUntil = e.now + ctx.cycles
 	e.schedule(evCoreDone, cs.busyUntil, coreID, cs.gen)
@@ -746,64 +642,45 @@ func (e *Engine) abort(seed *task.Task) {
 	for _, t := range set {
 		squash := t.Parent != nil && e.index.InLastAbortSet(t.Parent)
 		q := e.queues[t.Tile]
+		tc := e.rec.Tile(t.Tile)
 		e.bumpPick(t.Tile) // every outcome below touches idle or running state
 		if t != seed && t.Tile != seedTile {
 			e.mesh.Send(noc.MsgAbort, seedTile, t.Tile, 16)
 		}
+		ran := t.State == task.Running || t.State == task.Finished
 		switch t.State {
 		case task.Running:
 			// The mispeculating core runs until the abort and then spends
 			// the rollback window restoring its undo log (Sec. IV-A:
 			// "simulating conflict check and rollback delays").
-			rb := e.cfg.AbortBaseCycles + 2*uint64(len(t.Writes))
-			soFar := e.now - t.DispatchCycle
-			tc := e.rec.Tile(t.Tile)
-			tc.AbortCycles += soFar + rb
-			tc.AbortedAttempts++
+			rb := abortBaseCycles + 2*uint64(len(t.Writes))
+			tc.AbortCycles += e.now - t.DispatchCycle + rb
 			cs := &e.cores[t.Core]
 			cs.running = nil
 			cs.gen++
 			cs.busyUntil = e.now + rb
 			cs.idleSince = e.now + rb
 			e.schedule(evWake, e.now+rb, t.Core, 0)
+		case task.Finished:
+			tc.AbortCycles += t.RunCycles
+			e.removeFinished(t)
+		}
+		if ran {
+			tc.AbortedAttempts++
 			e.rollbackTraffic(t)
 			if t.Undo.Len() > 0 { // read-only attempts add nothing to the merge
 				logs = append(logs, &t.Undo)
 			}
 			e.index.Remove(t)
-			if squash {
-				q.SquashRunning(t)
-				e.live--
-				tc.SquashedTasks++
-			} else {
-				q.AbortRunning(t)
-			}
-		case task.Finished:
-			tc := e.rec.Tile(t.Tile)
-			tc.AbortCycles += t.RunCycles
-			tc.AbortedAttempts++
-			e.removeFinished(t)
-			e.rollbackTraffic(t)
-			if t.Undo.Len() > 0 {
-				logs = append(logs, &t.Undo)
-			}
-			e.index.Remove(t)
-			if squash {
-				q.SquashFinished(t)
-				e.live--
-				tc.SquashedTasks++
-			} else {
-				q.AbortFinished(t)
-			}
-		case task.Idle:
-			// Never ran: in the set only as a descendant. Squash it.
+		}
+		// An idle or spilled task never ran: it is in the set only as a
+		// descendant, so it squashes.
+		if squash || !ran {
 			q.Squash(t)
 			e.live--
-			e.rec.Tile(t.Tile).SquashedTasks++
-		case task.Spilled:
-			t.State = task.Squashed // spill buffer drops it lazily
-			e.live--
-			e.rec.Tile(t.Tile).SquashedTasks++
+			tc.SquashedTasks++
+		} else {
+			q.Requeue(t)
 		}
 	}
 	e.undoScratch = mem.RollbackInto(e.prog.Mem, logs, e.undoScratch)[:0]

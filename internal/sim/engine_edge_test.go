@@ -77,9 +77,9 @@ func TestForwardingStallSerializesChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each link costs at least BaseTaskCycles; wall-clock must reflect the
+	// Each link costs at least baseTaskCycles; wall-clock must reflect the
 	// chain, not collapse to a couple of task durations.
-	if st.Cycles < uint64(n)*cfg.BaseTaskCycles {
+	if st.Cycles < uint64(n)*baseTaskCycles {
 		t.Fatalf("chain of %d dependent tasks finished in %d cycles: forwarding stalls not applied", n, st.Cycles)
 	}
 }

@@ -51,6 +51,24 @@ type Root struct {
 	Args     []uint64
 }
 
+// Fixed machine parameters. No experiment varies them, and a stored run is
+// keyed by (scale, seed, point) alone, so they are constants rather than
+// Config fields: a run made with any other value would be filed under a key
+// that does not describe it. The task-op cost, GVT period, spill threshold
+// and spill batch are Table II's; the per-task base, per-spilled-task,
+// conflict-check and per-abort costs are this model's fixed overheads
+// (Sec. IV-A: "simulating conflict check and rollback delays").
+const (
+	taskOpCycles        = 5   // per enqueue/dequeue/finish task op
+	baseTaskCycles      = 10  // fixed non-memory cycles per task body
+	gvtInterval         = 200 // cycles between GVT update rounds
+	spillThresholdPct   = 85  // coalescer fires at this task-queue occupancy
+	spillBatch          = 15  // tasks spilled per coalescer firing
+	spillCyclesPer      = 5   // cycles charged per spilled/refilled task
+	conflictCheckCycles = 1   // per-access conflict check
+	abortBaseCycles     = 5   // per-abort overhead (starting the rollback)
+)
+
 // Config parameterizes one simulation. Defaults mirror Table II; tests and
 // quick experiments scale capacities down with ScaledConfig.
 type Config struct {
@@ -62,49 +80,25 @@ type Config struct {
 
 	Cache cache.Config
 
-	TaskOpCycles   uint64 // per enqueue/dequeue/finish task op (5)
-	BaseTaskCycles uint64 // fixed non-memory cycles per task body
-	GVTInterval    uint64 // cycles between GVT update rounds (200)
-
-	SpillThresholdPct int    // coalescer fires at this occupancy (85)
-	SpillBatch        int    // tasks spilled per coalescer firing (15)
-	SpillCyclesPer    uint64 // cycles charged per spilled/refilled task
-
-	ConflictCheckCycles uint64 // per-access check cost
-	AbortBaseCycles     uint64 // per-abort overhead (rollback issue)
-
 	Scheduler  sched.Kind
 	LBInterval uint64 // load-balancer reconfiguration period
 
 	Seed      int64
 	MaxCycles uint64 // watchdog; 0 = default
 	Profile   bool   // collect the Fig. 3/6 access classification
-
-	// useHeapEvents selects the pre-calendar-queue binary-heap event queue.
-	// Unexported: only the differential tests flip it, to prove the calendar
-	// queue and the reference heap drive byte-identical runs.
-	useHeapEvents bool
 }
 
 // DefaultConfig is the paper's 256-core configuration (Table II).
 func DefaultConfig() Config {
 	return Config{
-		MeshK:               8,
-		CoresPerTile:        4,
-		TaskQPerCore:        64,
-		CommitQPerCore:      16,
-		Cache:               cache.DefaultConfig(),
-		TaskOpCycles:        5,
-		BaseTaskCycles:      10,
-		GVTInterval:         200,
-		SpillThresholdPct:   85,
-		SpillBatch:          15,
-		SpillCyclesPer:      5,
-		ConflictCheckCycles: 1,
-		AbortBaseCycles:     5,
-		Scheduler:           sched.Random,
-		LBInterval:          50_000,
-		Seed:                1,
+		MeshK:          8,
+		CoresPerTile:   4,
+		TaskQPerCore:   64,
+		CommitQPerCore: 16,
+		Cache:          cache.DefaultConfig(),
+		Scheduler:      sched.Random,
+		LBInterval:     50_000,
+		Seed:           1,
 	}
 }
 

@@ -425,8 +425,7 @@ type Queue struct {
 	// merges its sorted batch in, SpillDirect binary-inserts, and Refill
 	// pops earliest-first from the tail — so no path re-sorts the whole
 	// buffer per coalescer firing. Squashed tasks linger (state-marked)
-	// until Refill or DropSquashedSpills drops them; neither disturbs the
-	// order.
+	// until Refill drops them, which does not disturb the order.
 	spillBuffer []*Task
 	listScratch []*Task // reused for Spill/Refill result lists
 }
@@ -436,12 +435,6 @@ type Queue struct {
 func NewQueue(tile, capacity, commitCap int) *Queue {
 	return &Queue{tile: tile, capacity: capacity, commitCap: commitCap}
 }
-
-// Tile returns the owning tile id.
-func (q *Queue) Tile() int { return q.tile }
-
-// Capacity returns the task-queue capacity.
-func (q *Queue) Capacity() int { return q.capacity }
 
 // Resident returns the number of resident tasks.
 func (q *Queue) Resident() int { return q.resident }
@@ -528,42 +521,28 @@ func (q *Queue) Commit(t *Task) {
 	q.resident--
 }
 
-// AbortRunning returns a running task to idle for retry, releasing its
-// reserved commit slot.
-func (q *Queue) AbortRunning(t *Task) {
+// Requeue returns an aborted running or finished task to idle for retry,
+// freeing its commit slot.
+func (q *Queue) Requeue(t *Task) {
 	q.commitUsed--
 	t.State = Idle
 	t.Aborts++
 	q.idle.push(t)
 }
 
-// AbortFinished returns a finished task to idle, freeing its commit slot.
-func (q *Queue) AbortFinished(t *Task) {
-	q.commitUsed--
-	t.State = Idle
-	t.Aborts++
-	q.idle.push(t)
-}
-
-// Squash removes an idle task entirely (its parent aborted; the parent will
-// re-create it when it re-runs).
+// Squash discards a task whose ancestor aborted (the ancestor re-creates it
+// when it re-runs). An idle task leaves the ring, a running or finished one
+// frees its commit slot, and a spilled one is only marked: Refill drops it
+// from the spill buffer.
 func (q *Queue) Squash(t *Task) {
-	q.idle.remove(t)
-	t.State = Squashed
-	q.resident--
-}
-
-// SquashRunning discards a running task whose ancestor aborted.
-func (q *Queue) SquashRunning(t *Task) {
-	q.commitUsed--
-	q.resident--
-	t.State = Squashed
-}
-
-// SquashFinished discards a finished task whose ancestor aborted.
-func (q *Queue) SquashFinished(t *Task) {
-	q.commitUsed--
-	q.resident--
+	switch t.State {
+	case Idle:
+		q.idle.remove(t)
+		q.resident--
+	case Running, Finished:
+		q.commitUsed--
+		q.resident--
+	}
 	t.State = Squashed
 }
 
@@ -670,21 +649,11 @@ func (q *Queue) Refill(max int) []*Task {
 	return back
 }
 
-// DropSquashedSpills removes squashed tasks from the spill buffer.
-func (q *Queue) DropSquashedSpills() {
-	out := q.spillBuffer[:0]
-	for _, t := range q.spillBuffer {
-		if t.State != Squashed {
-			out = append(out, t)
-		}
-	}
-	q.spillBuffer = out
-}
-
-// EarliestUncommitted returns the earliest order among all tasks this tile
-// is responsible for (idle, running, finished, spilled), or MaxOrder. The
-// GVT arbiter aggregates this across tiles.
-func (q *Queue) EarliestUncommitted(running []*Task, finished []*Task) Order {
+// EarliestUncommitted returns the earliest order among this tile's
+// unfinished tasks (idle, spilled, and the given running ones), or
+// MaxOrder. The GVT arbiter aggregates this across tiles; finished tasks
+// wait on GVT rather than hold it back.
+func (q *Queue) EarliestUncommitted(running []*Task) Order {
 	best := MaxOrder
 	if q.idle.n > 0 && q.idle.buf[q.idle.head].Ord().Before(best) {
 		best = q.idle.buf[q.idle.head].Ord()
@@ -701,11 +670,6 @@ func (q *Queue) EarliestUncommitted(running []*Task, finished []*Task) Order {
 	}
 	for _, t := range running {
 		if t != nil && t.Ord().Before(best) {
-			best = t.Ord()
-		}
-	}
-	for _, t := range finished {
-		if t.Ord().Before(best) {
 			best = t.Ord()
 		}
 	}

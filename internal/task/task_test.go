@@ -138,13 +138,16 @@ func TestCommitQueueAccounting(t *testing.T) {
 }
 
 func TestAbortRunningRequeues(t *testing.T) {
-	q := NewQueue(0, 8, 4)
+	q := NewQueue(0, 8, 1)
 	a := mk(1, 1)
 	q.Enqueue(a)
 	q.Dispatch(a, 0)
-	q.AbortRunning(a)
+	q.Requeue(a)
 	if a.State != Idle || q.IdleCount() != 1 || a.Aborts != 1 {
 		t.Fatalf("abort-running bookkeeping wrong: %+v idle=%d", a, q.IdleCount())
+	}
+	if !q.CommitSlotFree() || q.Resident() != 1 {
+		t.Fatal("requeue of a running task must free its commit slot and stay resident")
 	}
 }
 
@@ -154,12 +157,18 @@ func TestAbortFinishedFreesCommitSlot(t *testing.T) {
 	q.Enqueue(a)
 	q.Dispatch(a, 0)
 	q.Finish(a)
-	q.AbortFinished(a)
+	q.Requeue(a)
 	if !q.CommitSlotFree() || a.State != Idle {
 		t.Fatal("abort-finished did not free the commit slot")
 	}
+	if q.IdleCount() != 1 || q.Resident() != 1 || a.Aborts != 1 {
+		t.Fatalf("abort-finished bookkeeping wrong: %+v idle=%d resident=%d", a, q.IdleCount(), q.Resident())
+	}
 }
 
+// TestSquashRemoves: Squash discards a task from every state it can be in
+// when an ancestor aborts. Idle tasks leave the ring, running and finished
+// ones free their commit slot, and spilled ones are only marked.
 func TestSquashRemoves(t *testing.T) {
 	q := NewQueue(0, 8, 4)
 	a := mk(1, 1)
@@ -167,6 +176,34 @@ func TestSquashRemoves(t *testing.T) {
 	q.Squash(a)
 	if q.Resident() != 0 || q.IdleCount() != 0 || a.State != Squashed {
 		t.Fatal("squash did not remove the task")
+	}
+
+	for _, finish := range []bool{false, true} {
+		q := NewQueue(0, 8, 1)
+		a := mk(1, 1)
+		q.Enqueue(a)
+		q.Dispatch(a, 0)
+		if finish {
+			q.Finish(a)
+		}
+		q.Squash(a)
+		if !q.CommitSlotFree() || q.Resident() != 0 || q.IdleCount() != 0 || a.State != Squashed || a.Aborts != 0 {
+			t.Fatalf("squash (finished=%v) bookkeeping wrong: %+v resident=%d", finish, a, q.Resident())
+		}
+	}
+
+	q = NewQueue(0, 8, 4)
+	for i := uint64(1); i <= 2; i++ {
+		q.Enqueue(mk(i, i))
+	}
+	sp := q.Spill(1)
+	q.Squash(sp[0])
+	if sp[0].State != Squashed || q.Resident() != 1 || q.SpilledCount() != 1 {
+		t.Fatalf("squash of a spilled task must only mark it: state=%v resident=%d spilled=%d",
+			sp[0].State, q.Resident(), q.SpilledCount())
+	}
+	if back := q.Refill(4); len(back) != 0 || q.SpilledCount() != 0 {
+		t.Fatalf("refill returned %d tasks, %d still spilled; the squashed one must be dropped", len(back), q.SpilledCount())
 	}
 }
 
@@ -281,13 +318,15 @@ func TestEarliestUncommitted(t *testing.T) {
 	q.Enqueue(a)
 	q.Enqueue(b)
 	run := mk(7, 40)
-	fin := mk(8, 30)
-	got := q.EarliestUncommitted([]*Task{run}, []*Task{fin})
-	if got != (Order{30, 8}) {
-		t.Fatalf("earliest = %+v, want ts=30", got)
+	got := q.EarliestUncommitted([]*Task{run})
+	if got != (Order{40, 7}) {
+		t.Fatalf("earliest = %+v, want ts=40", got)
+	}
+	if got := q.EarliestUncommitted(nil); got != (Order{50, 5}) {
+		t.Fatalf("earliest without running = %+v, want ts=50", got)
 	}
 	empty := NewQueue(1, 4, 2)
-	if got := empty.EarliestUncommitted(nil, nil); got != MaxOrder {
+	if got := empty.EarliestUncommitted(nil); got != MaxOrder {
 		t.Fatal("empty tile must report MaxOrder")
 	}
 
@@ -334,12 +373,12 @@ func TestEarliestUncommitted(t *testing.T) {
 	}
 	for _, c := range cases {
 		q := spilled(c.squash...)
-		if got := q.EarliestUncommitted(nil, nil); got != c.want || got != scan(q) {
+		if got := q.EarliestUncommitted(nil); got != c.want || got != scan(q) {
 			t.Errorf("%s: floor %+v, want %+v (full scan %+v)", c.name, got, c.want, scan(q))
 		}
 		// An idle task earlier than every spilled one still wins.
 		q.Enqueue(mk(3, 105))
-		if got := q.EarliestUncommitted(nil, nil); got != (Order{105, 3}) || got != scan(q) {
+		if got := q.EarliestUncommitted(nil); got != (Order{105, 3}) || got != scan(q) {
 			t.Errorf("%s with idle task: floor %+v, want ts=105 (full scan %+v)", c.name, got, scan(q))
 		}
 	}
