@@ -180,9 +180,10 @@ func BenchmarkConflictIndex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ix := conflict.NewIndex(nil)
+		var pool task.Pool
 		tasks := make([]*task.Task, window)
 		for j := range tasks {
-			t := task.NewTask(uint64(j+1), 0, uint64(j), task.HintNone, 0, nil)
+			t := pool.Get(uint64(j+1), 0, uint64(j), task.HintNone, 0, nil, nil)
 			t.State = task.Running
 			tasks[j] = t
 		}
@@ -296,8 +297,9 @@ func BenchmarkSpillSelect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		q := task.NewQueue(0, capacity, 64)
+		var pool task.Pool
 		for j := 0; j < capacity; j++ {
-			q.Enqueue(task.NewTask(uint64(j+1), 0, uint64(j), task.HintNone, 0, nil))
+			q.Enqueue(pool.Get(uint64(j+1), 0, uint64(j), task.HintNone, 0, nil, nil))
 		}
 		b.StartTimer()
 		for round := 0; round < rounds; round++ {
@@ -336,12 +338,60 @@ func BenchmarkSeedMerge(b *testing.B) {
 	}
 }
 
-// gatewayRecord is BenchmarkGatewayWarmRun's point, simulated once per
-// process: testing.Benchmark sets the benchmark up several times.
-var gatewayRecord struct {
-	once sync.Once
-	st   *swarm.Stats
-	err  error
+// warmGrid is the gateway benchmarks' grid — des under three schedulers
+// at 1, 16 and 64 cores, small scale, seed 7 — simulated once per process:
+// testing.Benchmark sets a benchmark up several times.
+var warmGrid = sync.OnceValues(func() (map[exp.Point]*swarm.Stats, error) {
+	grid := make(map[exp.Point]*swarm.Stats)
+	for _, p := range exp.Grid([]string{"des"}, []swarm.SchedKind{swarm.Random, swarm.Hints, swarm.LBHints}, []int{1, 16, 64}, false) {
+		st, err := exp.RunPoint(p, bench.Small, 7, false)
+		if err != nil {
+			return nil, err
+		}
+		grid[p] = st
+	}
+	return grid, nil
+})
+
+// warmGateway starts an in-process gateway over one replica whose store
+// holds the warm grid, and returns a poster of requests to the gateway
+// that fails the benchmark on any error or non-200 answer.
+func warmGateway(b *testing.B) func(path string, req []byte) {
+	grid, err := warmGrid()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.Open(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for p, stats := range grid {
+		if err := st.PutStats(exp.ConfigKey(bench.Small, 7, p), stats); err != nil {
+			b.Fatal(err)
+		}
+	}
+	svc := service.New(service.Options{Workers: 1, Store: st})
+	b.Cleanup(svc.Close)
+	replica := httptest.NewServer(svc.Handler())
+	b.Cleanup(replica.Close)
+	g, err := gate.New(gate.Options{Replicas: []string{replica.URL}, ProbeInterval: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(g.Close)
+	front := httptest.NewServer(g.Handler())
+	b.Cleanup(front.Close)
+	return func(path string, req []byte) {
+		resp, err := http.Post(front.URL+path, "application/json", bytes.NewReader(req))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("warm %s: status %d, %v", path, resp.StatusCode, err)
+		}
+	}
 }
 
 // BenchmarkGatewayWarmRun measures one warm POST /v1/run end to end through
@@ -350,49 +400,29 @@ var gatewayRecord struct {
 // routing and check of the replica's answer, the replica's cached body, and
 // the relay back to the client, all over loopback HTTP.
 func BenchmarkGatewayWarmRun(b *testing.B) {
-	p := exp.Point{Name: "des", Kind: swarm.Hints, Cores: 16}
-	gatewayRecord.once.Do(func() {
-		gatewayRecord.st, gatewayRecord.err = exp.RunPoint(p, bench.Small, 7, false)
-	})
-	if gatewayRecord.err != nil {
-		b.Fatal(gatewayRecord.err)
-	}
-	st, err := store.Open(b.TempDir(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := st.PutStats(exp.ConfigKey(bench.Small, 7, p), gatewayRecord.st); err != nil {
-		b.Fatal(err)
-	}
-	svc := service.New(service.Options{Workers: 1, Store: st})
-	defer svc.Close()
-	replica := httptest.NewServer(svc.Handler())
-	defer replica.Close()
-	g, err := gate.New(gate.Options{Replicas: []string{replica.URL}, ProbeInterval: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer g.Close()
-	front := httptest.NewServer(g.Handler())
-	defer front.Close()
-
+	post := warmGateway(b)
 	req := []byte(`{"bench":"des","sched":"hints","cores":16,"scale":"small","seed":7}`)
-	run := func() {
-		resp, err := http.Post(front.URL+"/v1/run", "application/json", bytes.NewReader(req))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, err = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			b.Fatalf("warm run: status %d, %v", resp.StatusCode, err)
-		}
-	}
-	run() // the store hit that fills the replica's LRU
+	post("/v1/run", req) // the store hit that fills the replica's LRU
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run()
+		post("/v1/run", req)
+	}
+}
+
+// BenchmarkGatewayWarmSweep measures one warm 9-point NDJSON POST /v1/sweep
+// end to end through an in-process gateway over one replica whose LRU
+// already holds every point: the gateway's per-point runs against the
+// replica, its check of each body, the record lines cut from them, and the
+// stream back to the client, all over loopback HTTP.
+func BenchmarkGatewayWarmSweep(b *testing.B) {
+	post := warmGateway(b)
+	req := []byte(`{"benches":["des"],"scheds":["random","hints","lbhints"],"cores":[1,16,64],"scale":"small","seed":7}`)
+	post("/v1/sweep", req) // the store hits that fill the replica's LRU
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post("/v1/sweep", req)
 	}
 }
 
@@ -471,6 +501,7 @@ func TestBenchTrajectory(t *testing.T) {
 		{"SweepRunner", BenchmarkSweepRunner},
 		{"SeedMerge", BenchmarkSeedMerge},
 		{"GatewayWarmRun", BenchmarkGatewayWarmRun},
+		{"GatewayWarmSweep", BenchmarkGatewayWarmSweep},
 		{"ObsDisabled", BenchmarkObsDisabled},
 	} {
 		res := testing.Benchmark(b.fn)

@@ -91,10 +91,6 @@ func New[T any](window int) *Queue[T] {
 // Len returns the number of queued entries.
 func (q *Queue[T]) Len() int { return q.size }
 
-// OverflowLen returns how many entries currently wait beyond the horizon,
-// exposed for tests and occupancy diagnostics.
-func (q *Queue[T]) OverflowLen() int { return q.over.len() }
-
 // Push enqueues (time, seq, v). It panics if time precedes the last Pop'd
 // time: that would be scheduling an event in the past.
 func (q *Queue[T]) Push(time, seq uint64, v T) {

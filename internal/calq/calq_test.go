@@ -80,8 +80,8 @@ func TestOverflowMergesOnWrap(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		q.Push(1_000_000+i, i+1, int(i))
 	}
-	if q.OverflowLen() != 100 {
-		t.Fatalf("overflow holds %d entries, want 100", q.OverflowLen())
+	if q.over.len() != 100 {
+		t.Fatalf("overflow holds %d entries, want 100", q.over.len())
 	}
 	for i := uint64(0); i < 100; i++ {
 		e := q.Pop()

@@ -6,8 +6,11 @@ import (
 	"swarmhints/internal/task"
 )
 
+// tasks hands out the tests' descriptors.
+var tasks task.Pool
+
 func mk(id, ts uint64) *task.Task {
-	t := task.NewTask(id, 0, ts, task.HintNone, 0, nil)
+	t := tasks.Get(id, 0, ts, task.HintNone, 0, nil, nil)
 	t.State = task.Running
 	return t
 }

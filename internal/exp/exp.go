@@ -326,7 +326,9 @@ func Grid(names []string, kinds []swarm.SchedKind, cores []int, profile bool) []
 }
 
 // ExportFields is the label column order of Export's result sets.
-var ExportFields = []string{"bench", "sched", "cores", "profile", "scale", "seed"}
+var ExportFields = exportFields[:]
+
+var exportFields = [...]string{"bench", "sched", "cores", "profile", "scale", "seed"}
 
 // DedupSorted returns the distinct configurations among points, in the
 // canonical export order. The input is not modified.
@@ -364,13 +366,23 @@ func SortPoints(points []Point) {
 // PointLabels returns the canonical export labels of a configuration point
 // within a (scale, seed) harness, keyed by ExportFields.
 func PointLabels(p Point, scale bench.Scale, seed int64) map[string]string {
-	return map[string]string{
-		"bench":   p.Name,
-		"sched":   p.Kind.String(),
-		"cores":   strconv.Itoa(p.Cores),
-		"profile": strconv.FormatBool(p.Profile),
-		"scale":   scale.String(),
-		"seed":    strconv.FormatInt(seed, 10),
+	values := PointLabelValues(p, scale, seed)
+	labels := make(map[string]string, len(values))
+	for i, f := range exportFields {
+		labels[f] = values[i]
+	}
+	return labels
+}
+
+// PointLabelValues returns the values of PointLabels in ExportFields order.
+func PointLabelValues(p Point, scale bench.Scale, seed int64) [len(exportFields)]string {
+	return [...]string{
+		p.Name,
+		p.Kind.String(),
+		strconv.Itoa(p.Cores),
+		strconv.FormatBool(p.Profile),
+		scale.String(),
+		strconv.FormatInt(seed, 10),
 	}
 }
 

@@ -3,11 +3,15 @@ package front
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"math"
+	"sync"
 	"testing"
 
 	"swarmhints/internal/bench"
 	"swarmhints/internal/exp"
+	"swarmhints/internal/metrics"
 	"swarmhints/swarm"
 	"swarmhints/swarm/api"
 )
@@ -189,5 +193,110 @@ func TestCheckRunRejectsMalformed(t *testing.T) {
 	}
 	if err := CheckRun(other, good); err == nil {
 		t.Error("a record passed the check for another point")
+	}
+}
+
+// oracleFrame is the body frame derived the slow way, for one point at a
+// time: the set encoder run over the point's labels map with null stats,
+// cut around the null. frame must agree with it byte for byte.
+type oracleFrame struct {
+	prefix, suffix []byte
+	head, tail     int
+	sep, indent    string
+}
+
+func deriveOracleFrame(t *testing.T, cfg Config, schema string) oracleFrame {
+	t.Helper()
+	rs := metrics.ResultSet{Schema: schema, Fields: exp.ExportFields, Records: []metrics.Record{{
+		Labels: exp.PointLabels(cfg.Point, cfg.Scale, cfg.Seed),
+	}}}
+	b, err := json.MarshalIndent(rs, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = append(b, '\n')
+	const open, recordClose, setClose = `"records": [` + "\n    ", "\n    }", "\n  ]\n}\n"
+	const end = "null" + recordClose + setClose
+	head := bytes.Index(b, []byte(open))
+	if !bytes.HasSuffix(b, []byte(end)) || head < 0 {
+		t.Fatalf("unexpected result-set layout:\n%s", b)
+	}
+	prefix := b[:len(b)-len(end)]
+	line := prefix[bytes.LastIndexByte(prefix, '\n')+1:]
+	return oracleFrame{
+		prefix: prefix,
+		suffix: b[len(prefix)+len("null"):],
+		head:   head + len(open),
+		tail:   len(setClose),
+		sep:    "," + open[len(`"records": [`):],
+		indent: string(line[:len(line)-len(bytes.TrimLeft(line, " "))]),
+	}
+}
+
+// TestFrameMatchesEncoder: the frame written from the derived layout is
+// byte-identical to the set encoder's, for every bench, scheduler kind,
+// core count, profile flag, scale, seed extreme and schema.
+func TestFrameMatchesEncoder(t *testing.T) {
+	for _, name := range bench.AllNames() {
+		for kind := swarm.Random; kind <= swarm.HintsNoSerial; kind++ {
+			for _, cores := range []int{1, 4, 16, 64, 256} {
+				for _, profile := range []bool{false, true} {
+					for _, scale := range []bench.Scale{bench.Tiny, bench.Small, bench.Full} {
+						for _, seed := range []int64{0, 7, -1, math.MaxInt64, math.MinInt64} {
+							for _, schema := range []string{metrics.SchemaVersion, metrics.SchemaVersionV2} {
+								cfg := Config{Scale: scale, Seed: seed, Point: exp.Point{Name: name, Kind: kind, Cores: cores, Profile: profile}}
+								want := deriveOracleFrame(t, cfg, schema)
+								f := frame(cfg, schema)
+								if f.schema != schema || !bytes.Equal(f.prefix, want.prefix) || !bytes.Equal(f.suffix, want.suffix) ||
+									len(f.set) != want.head || f.tail != want.tail || f.sep != want.sep || f.indent != want.indent {
+									t.Fatalf("%s under %s: frame differs from the encoder's:\n%q\nwant:\n%q", cfg.Key(), schema, f.prefix, want.prefix)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// warmBody is the 16-core small-scale des/hints record the front
+// micro-benchmarks check and compact, simulated once per process.
+var warmBody = sync.OnceValues(func() (Config, []byte) {
+	cfg := Config{Scale: bench.Small, Seed: 7, Point: exp.Point{Name: "des", Kind: swarm.Hints, Cores: 16}}
+	st, err := exp.RunPoint(cfg.Point, cfg.Scale, cfg.Seed, false)
+	if err != nil {
+		panic(err)
+	}
+	body, err := Body(cfg, st.Snapshot())
+	if err != nil {
+		panic(err)
+	}
+	return cfg, body
+})
+
+// BenchmarkCheckRun measures the gateway's check of one replica body.
+func BenchmarkCheckRun(b *testing.B) {
+	cfg, body := warmBody()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := CheckRun(cfg, body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecordLine measures cutting one body's NDJSON sweep line.
+func BenchmarkRecordLine(b *testing.B) {
+	cfg, body := warmBody()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := recordLine(cfg, body); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

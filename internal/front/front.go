@@ -24,6 +24,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 
 	"swarmhints/internal/bench"
 	"swarmhints/internal/cliutil"
@@ -229,6 +230,8 @@ func (f *Front) Run(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	// Sized, so the gateway reads the body into one buffer of its size.
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if src != "" {
 		w.Header().Set(f.SourceHeader, src)
 		sp.SetAttr("source", src)

@@ -3,6 +3,7 @@ package gate
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -146,9 +147,10 @@ func TestGatewayRejectsMislabeledRecord(t *testing.T) {
 
 // TestGatewayRejectsMalformedRecords: well-framed but malformed answers —
 // a cut stats object, bytes after the closing frame, a v2 stamp on a
-// single-seed run, a body over the size bound — each fail their attempt
-// and re-route without demoting the replica; the oversized body is
-// abandoned at the bound, not read in full.
+// single-seed run, a body over the size bound, a Content-Length the body
+// does not match — each fail their attempt and re-route without demoting
+// the replica; the oversized body is abandoned at the bound, not read in
+// full.
 func TestGatewayRejectsMalformedRecords(t *testing.T) {
 	single := startReplica(t, "")
 	body := `{"bench":"des","sched":"random","cores":1,"scale":"tiny"}`
@@ -201,6 +203,31 @@ func TestGatewayRejectsMalformedRecords(t *testing.T) {
 		bad := runAnswerReplica(t, func(w http.ResponseWriter) {
 			w.Header().Set("Content-Length", strconv.Itoa(api.MaxRecordBytes+1))
 			_, _ = w.Write(want[:start])
+		})
+		checkReroutedRun(t, bad, body, want)
+	})
+	t.Run("declared longer than sent", func(t *testing.T) {
+		// The connection closes short of the Content-Length: the read ends
+		// early, and the reachable replica keeps its health.
+		bad := runAnswerReplica(t, func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(want)+1))
+			_, _ = w.Write(want)
+		})
+		checkReroutedRun(t, bad, body, want)
+	})
+	t.Run("sent longer than declared", func(t *testing.T) {
+		// The whole body follows a Content-Length one byte short of it, so
+		// the declared bytes are a cut body.
+		bad := runAnswerReplica(t, func(w http.ResponseWriter) {
+			conn, buf, err := http.NewResponseController(w).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			fmt.Fprintf(buf, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(want)-1)
+			_, _ = buf.Write(want)
+			_ = buf.Flush()
 		})
 		checkReroutedRun(t, bad, body, want)
 	})

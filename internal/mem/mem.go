@@ -55,7 +55,6 @@ type Memory struct {
 	chunks  []*chunk
 	lastPN  uint64 // page number held in lastPg (valid iff lastPg != nil)
 	lastPg  *page
-	npages  int
 	nextSeq uint64
 	brk     uint64 // bump-allocation watermark
 }
@@ -103,7 +102,6 @@ func (m *Memory) page(addr uint64, create bool) (*page, uint64) {
 		}
 		p = new(page)
 		ch[pn&(chunkPages-1)] = p
-		m.npages++
 	}
 	m.lastPN, m.lastPg = pn, p
 	return p, off
@@ -146,11 +144,6 @@ func (m *Memory) Alloc(n uint64) uint64 {
 
 // AllocWords reserves n 8-byte words.
 func (m *Memory) AllocWords(n uint64) uint64 { return m.Alloc(n * WordSize) }
-
-// Footprint returns the number of bytes of memory touched so far.
-func (m *Memory) Footprint() uint64 {
-	return uint64(m.npages) * pageWords * WordSize
-}
 
 // UndoEntry records one speculative write: the address, the value it
 // clobbered, and the global order of the write.

@@ -47,13 +47,13 @@ func TestRadixVsMapReference(t *testing.T) {
 // memory return zero without materializing pages or growing the footprint.
 func TestLoadDoesNotAllocatePages(t *testing.T) {
 	m := New()
-	f0 := m.Footprint()
+	f0 := footprint(m)
 	for _, a := range []uint64{0, 1 << 25, 1 << 35, 7 * chunkPages * pageWords * WordSize} {
 		if got := m.Load(a); got != 0 {
 			t.Fatalf("Load(%#x) = %d, want 0", a, got)
 		}
 	}
-	if m.Footprint() != f0 {
+	if footprint(m) != f0 {
 		t.Fatal("loads of untouched memory allocated pages")
 	}
 }

@@ -9,8 +9,11 @@ import (
 	"swarmhints/internal/task"
 )
 
+// tasks hands out the tests' descriptors.
+var tasks task.Pool
+
 func hintTask(id, hint uint64) *task.Task {
-	return task.NewTask(id, 0, id, task.HintInt, hint, nil)
+	return tasks.Get(id, 0, id, task.HintInt, hint, nil, nil)
 }
 
 func TestRandomSpreads(t *testing.T) {
@@ -42,7 +45,7 @@ func TestHintsNoHintIsRandom(t *testing.T) {
 	s := New(Hints, 16, 0, 1, nil)
 	seen := map[int]bool{}
 	for i := uint64(0); i < 200; i++ {
-		tk := task.NewTask(i, 0, i, task.HintNone, 0, nil)
+		tk := tasks.Get(i, 0, i, task.HintNone, 0, nil, nil)
 		seen[s.DestTile(tk, 0)] = true
 	}
 	if len(seen) < 8 {
@@ -52,8 +55,8 @@ func TestHintsNoHintIsRandom(t *testing.T) {
 
 func TestSameHintStaysLocal(t *testing.T) {
 	s := New(Hints, 16, 0, 1, nil)
-	p := task.NewTask(1, 0, 1, task.HintNone, 0, nil)
-	c := task.NewTask(2, 0, 2, task.HintSame, 0, p)
+	p := tasks.Get(1, 0, 1, task.HintNone, 0, nil, nil)
+	c := tasks.Get(2, 0, 2, task.HintSame, 0, p, nil)
 	if got := s.DestTile(c, 11); got != 11 {
 		t.Fatalf("unresolved SAMEHINT went to tile %d, want local 11", got)
 	}

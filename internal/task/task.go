@@ -149,14 +149,6 @@ func (t *Task) init(id uint64, fn FnID, ts uint64, kind HintKind, hint uint64, p
 	}
 }
 
-// NewTask builds a descriptor, resolving SAMEHINT against the parent and
-// precomputing the hashed hint.
-func NewTask(id uint64, fn FnID, ts uint64, kind HintKind, hint uint64, parent *Task, args ...uint64) *Task {
-	t := &Task{}
-	t.init(id, fn, ts, kind, hint, parent, args)
-	return t
-}
-
 // Pool recycles Task descriptors through a free list so the engine's
 // enqueue hot path stops allocating one Task per created task. A
 // descriptor's Args, Children, Reads, Writes and undo-log buffers come from

@@ -8,8 +8,15 @@ import (
 	"swarmhints/internal/mem"
 )
 
+// newTask builds a descriptor outside any pool.
+func newTask(id uint64, fn FnID, ts uint64, kind HintKind, hint uint64, parent *Task, args ...uint64) *Task {
+	t := &Task{}
+	t.init(id, fn, ts, kind, hint, parent, args)
+	return t
+}
+
 func mk(id, ts uint64) *Task {
-	return NewTask(id, 0, ts, HintInt, id*7, nil)
+	return newTask(id, 0, ts, HintInt, id*7, nil)
 }
 
 func TestOrderBefore(t *testing.T) {
@@ -44,8 +51,8 @@ func TestOrderTotality(t *testing.T) {
 }
 
 func TestSameHintInheritsParent(t *testing.T) {
-	p := NewTask(1, 0, 10, HintInt, 42, nil)
-	c := NewTask(2, 0, 11, HintSame, 0, p)
+	p := newTask(1, 0, 10, HintInt, 42, nil)
+	c := newTask(2, 0, 11, HintSame, 0, p)
 	if !c.HasHint() || c.Hint != 42 {
 		t.Fatalf("SAMEHINT child did not inherit parent's hint: %+v", c)
 	}
@@ -55,8 +62,8 @@ func TestSameHintInheritsParent(t *testing.T) {
 }
 
 func TestSameHintWithHintlessParent(t *testing.T) {
-	p := NewTask(1, 0, 10, HintNone, 0, nil)
-	c := NewTask(2, 0, 11, HintSame, 0, p)
+	p := newTask(1, 0, 10, HintNone, 0, nil)
+	c := newTask(2, 0, 11, HintSame, 0, p)
 	if c.HasHint() {
 		t.Fatal("SAMEHINT child of NOHINT parent must not have an integer hint")
 	}
@@ -66,11 +73,11 @@ func TestSameHintWithHintlessParent(t *testing.T) {
 }
 
 func TestDescriptorBytes(t *testing.T) {
-	t1 := NewTask(1, 0, 0, HintInt, 5, nil, 1, 2, 3)
+	t1 := newTask(1, 0, 0, HintInt, 5, nil, 1, 2, 3)
 	if DescriptorBytes(t1) != 8+8+24+2 {
 		t.Fatalf("descriptor bytes = %d", DescriptorBytes(t1))
 	}
-	t2 := NewTask(2, 0, 0, HintInt, 5, nil)
+	t2 := newTask(2, 0, 0, HintInt, 5, nil)
 	if DescriptorBytes(t2) < 26 {
 		t.Fatal("descriptor must have a minimum size")
 	}

@@ -12,9 +12,10 @@
 // the envelope around it. The contract is deliberately re-encodable: a
 // Record decoded from one server and re-marshaled produces the exact bytes
 // the origin would have sent, and a record line is its /v1/run body's stats
-// object compacted (EncodeRawRecord) — which is what lets swarmgate relay
-// per-point bodies and reassemble them into a stream byte-identical to a
-// single swarmd's.
+// object compacted under the point's labels (EncodeRawRecord, which writes
+// both with internal/jsonscan, byte for byte as encoding/json would, and
+// without reflection) — which is what lets swarmgate relay per-point bodies
+// and reassemble them into a stream byte-identical to a single swarmd's.
 package api
 
 import (

@@ -246,3 +246,32 @@ func TestPointRunCarriesSeed(t *testing.T) {
 		t.Fatalf("run request does not pin the seed: %s", b)
 	}
 }
+
+// TestEncodeRawRecordMatchesEncodeRecord: a record line written from the
+// labels and any indentation of the snapshot's encoding is exactly
+// EncodeRecord's line, for labels that need escaping and for nil labels.
+func TestEncodeRawRecordMatchesEncodeRecord(t *testing.T) {
+	sn := &metrics.Snapshot{Cycles: 12345, Cores: 4, NumTiles: 4, CommittedTasks: 99}
+	for _, labels := range []map[string]string{
+		{"bench": "des", "sched": "Hints", "cores": "4", "profile": "false", "scale": "tiny", "seed": "-7"},
+		{"b<>&": "\u2028x\u2029", "a": "", "q\"\\": "\x01\t\xff é"},
+		nil,
+	} {
+		rec := metrics.Record{Labels: labels, Snapshot: sn}
+		want, err := EncodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := json.MarshalIndent(sn, "      ", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EncodeRawRecord(labels, stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("labels %q:\n got %s\nwant %s", labels, got, want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -72,9 +73,13 @@ func (c *Client) post(ctx context.Context, path string, body any) (*http.Respons
 }
 
 // RunBody executes one configuration via POST /v1/run and returns the
-// response body as the server wrote it, read under MaxRecordBytes. A body
-// over the bound is refused without reading the rest of it: a correct
-// server never sends one, so the failure is this instance's and retryable.
+// response body as the server wrote it. A body with a Content-Length is
+// read into a buffer of exactly that size, one that ends short of it is a
+// malformed answer from a reachable instance, and one declared over
+// MaxRecordBytes is refused unread. A body without one is read under
+// MaxRecordBytes, and refused without reading the rest once it passes the
+// bound: a correct server never sends one, so the failure is this
+// instance's and retryable.
 func (c *Client) RunBody(ctx context.Context, req RunRequest) ([]byte, error) {
 	resp, err := c.post(ctx, "/v1/run", req)
 	if err != nil {
@@ -82,8 +87,19 @@ func (c *Client) RunBody(ctx context.Context, req RunRequest) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	tooLarge := &Error{Code: CodeInternal, Message: fmt.Sprintf("run response exceeds %d bytes", MaxRecordBytes), Retryable: true}
-	if resp.ContentLength > MaxRecordBytes {
-		return nil, tooLarge
+	if n := resp.ContentLength; n >= 0 {
+		if n > MaxRecordBytes {
+			return nil, tooLarge
+		}
+		b := make([]byte, n)
+		got, err := io.ReadFull(resp.Body, b)
+		switch {
+		case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
+			return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("run response ends after %d of its %d bytes", got, n), Retryable: true}
+		case err != nil:
+			return nil, &Error{Code: CodeUnavailable, Message: fmt.Sprintf("bad run response: %v", err), Retryable: true}
+		}
+		return b, nil
 	}
 	b, err := io.ReadAll(io.LimitReader(resp.Body, MaxRecordBytes+1))
 	if err != nil {

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
+	"swarmhints/internal/jsonscan"
 	"swarmhints/internal/metrics"
 )
 
@@ -69,23 +71,43 @@ func EncodeRecord(rec metrics.Record) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// rawRecord is the wire shape of metrics.Record with the stats object
-// already encoded.
-type rawRecord struct {
-	Labels map[string]string `json:"labels"`
-	Stats  json.RawMessage   `json:"stats"`
-}
-
 // EncodeRawRecord encodes one record line from the record's labels and an
-// encoding of its stats object, newline included. The stats bytes are
-// compacted on the way, so any indentation of a snapshot's encoding yields
-// exactly the line EncodeRecord writes for the snapshot.
+// encoding of its stats object, newline included: exactly the line
+// EncodeRecord writes for the snapshot the stats bytes encode. The labels
+// are written with sorted keys and the stats object is compacted on the
+// way, both by jsonscan without reflection, so any indentation of a
+// snapshot's encoding yields the same line. stats must hold one JSON value.
 func EncodeRawRecord(labels map[string]string, stats []byte) ([]byte, error) {
-	b, err := json.Marshal(rawRecord{Labels: labels, Stats: stats})
+	var keyBuf [8]string // room for a point's six labels without allocating
+	keys := keyBuf[:0]
+	size := len(`{"labels":{},"stats":}`+"\n") + len(stats)
+	for k, v := range labels {
+		keys = append(keys, k)
+		size += len(k) + len(v) + len(`"":"",`)
+	}
+	slices.Sort(keys)
+	b := make([]byte, 0, size)
+	b = append(b, `{"labels":`...)
+	if labels == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '{')
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonscan.AppendString(b, k)
+			b = append(b, ':')
+			b = jsonscan.AppendString(b, labels[k])
+		}
+		b = append(b, '}')
+	}
+	b = append(b, `,"stats":`...)
+	b, err := jsonscan.AppendCompact(b, stats)
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	return append(b, "}\n"...), nil
 }
 
 // EncodeTrailer encodes the completion trailer for a stream of points
