@@ -20,7 +20,7 @@
 //	swarmd -addr 127.0.0.1:0        # ephemeral port, printed on startup
 //	swarmd -store /var/lib/swarmd -store-max-bytes 2g   # persistent result store
 //	swarmd -max-pending 512                             # admission bound (429 "overloaded" past it)
-//	swarmd -fault 'store.write=fail,prob:0.01' -fault-admin   # chaos testing (see README)
+//	swarmd -fault 'store.write=fail,prob:0.01'          # chaos testing (see README)
 //
 // With -store, lookups go memory-LRU → disk store → coalesced compute with
 // write-through on fill, so a restarted swarmd — or a fleet of replicas
@@ -60,7 +60,6 @@ func main() {
 		maxPending    = flag.Int("max-pending", 256, "admission bound on in-flight work requests; excess is shed with a retryable 429 (0 = unlimited)")
 		faultSpec     = flag.String("fault", "", "fault-injection site spec, e.g. 'store.write=fail,prob:0.01; swarmd.run.slow=latency:200ms,every:10' (testing only)")
 		faultSeed     = flag.Int64("fault-seed", 1, "fault-injection PRNG seed (fire patterns are reproducible for a fixed seed)")
-		faultAdmin    = flag.Bool("fault-admin", false, "mount the /v1/faults runtime fault-injection admin endpoint (testing only)")
 		obsOn         = flag.Bool("obs", true, "enable request tracing and latency histograms (disabled, every instrumentation point costs one atomic load)")
 		logLevel      = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat     = flag.String("log-format", "text", "log format: text or json")
@@ -87,7 +86,7 @@ func main() {
 
 	svc := service.New(service.Options{
 		Workers: *workers, CacheEntries: *cache, Validate: *validate, Store: st,
-		MaxPending: *maxPending, FaultAdmin: *faultAdmin,
+		MaxPending: *maxPending,
 	})
 	// Requests inherit the service lifetime: Close cancels them all.
 	if err := cliutil.Serve("swarmd", *addr, *debugAddr, svc.Handler(), svc.Context(), svc.Close, *drain,

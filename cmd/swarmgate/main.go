@@ -66,7 +66,6 @@ func main() {
 		retryWait   = flag.Duration("retry-backoff", 0, "base retry backoff, grown exponentially with full jitter (0 = 5ms, negative = disabled)")
 		faultSpec   = flag.String("fault", "", "fault-injection site spec, e.g. 'gate.attempt=fail,prob:0.01' (testing only)")
 		faultSeed   = flag.Int64("fault-seed", 1, "fault-injection PRNG seed (fire patterns are reproducible for a fixed seed)")
-		faultAdmin  = flag.Bool("fault-admin", false, "mount the /v1/faults runtime fault-injection admin endpoint (testing only)")
 		obsOn       = flag.Bool("obs", true, "enable request tracing and latency histograms (disabled, every instrumentation point costs one atomic load)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "log format: text or json")
@@ -98,7 +97,6 @@ func main() {
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
 		RetryBackoff:     *retryWait,
-		FaultAdmin:       *faultAdmin,
 	})
 	if err != nil {
 		fatal("building gateway", err)

@@ -506,9 +506,5 @@ func breakdownRow(b swarm.CycleBreakdown, ref float64) string {
 func trafficRow(t [4]uint64, ref float64) string {
 	f := func(x uint64) float64 { return float64(x) / ref }
 	return fmt.Sprintf("mem=%.3f abort=%.3f task=%.3f gvt=%.3f total=%.3f",
-		f(t[0]), f(t[1]), f(t[2]), f(t[3]), f(t[0]+t[1]+t[2]+t[3]))
-}
-
-func sumTraffic(t [4]uint64) float64 {
-	return float64(t[0] + t[1] + t[2] + t[3])
+		f(t[0]), f(t[1]), f(t[2]), f(t[3]), f(metrics.TotalTraffic(t)))
 }

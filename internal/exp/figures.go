@@ -198,7 +198,7 @@ func breakdownFigure(ctx context.Context, r *Runner, w io.Writer, names []string
 		if err != nil {
 			return err
 		}
-		refTotal := sumTraffic(ref.Traffic)
+		refTotal := float64(ref.TotalTraffic())
 		for _, k := range kinds {
 			st, err := r.Run(ctx, name, k, mc, false)
 			if err != nil {
@@ -518,8 +518,8 @@ func Summary(ctx context.Context, r *Runner, w io.Writer) error {
 		}
 		abortR += float64(rst.Breakdown.Abort)
 		abortH += float64(hst.Breakdown.Abort)
-		trafR += sumTraffic(rst.Traffic)
-		trafH += sumTraffic(hst.Traffic)
+		trafR += float64(rst.TotalTraffic())
+		trafH += float64(hst.TotalTraffic())
 	}
 	fmt.Fprintf(w, "gmean speedup at %d cores:\n", mc)
 	fmt.Fprintf(w, "  Random    %8.1fx\n", gmean(sR))

@@ -12,9 +12,8 @@
 // get-or-create) and calls Site.Fire on the hot path. A disarmed site's
 // Fire is a single atomic load returning false — cheap enough to leave in
 // production builds, so the injected and uninjected binaries are the same
-// binary. Sites are controllable three ways: programmatically (tests),
-// via the -fault CLI flag (ParseSpec), and via the test-only /v1/faults
-// admin endpoint (AdminHandler) when a server opts in.
+// binary. Sites are armed two ways: programmatically (tests) and via the
+// -fault CLI flag (ParseSpec) at process start.
 package fault
 
 import (
@@ -186,8 +185,7 @@ func hashFloat(seed int64, name string, n uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// SiteStatus is one site's externally visible state, for the admin
-// endpoint and tests.
+// SiteStatus is one site's externally visible state, for tests.
 type SiteStatus struct {
 	Armed bool   `json:"armed"`
 	Plan  *Plan  `json:"plan,omitempty"`
@@ -225,6 +223,17 @@ func (r *Registry) Site(name string) *Site {
 	s := &Site{name: name, reg: r}
 	r.sites[name] = s
 	return s
+}
+
+// Scoped resolves a site under an optional scope prefix: scope "" returns
+// the site for name itself; scope "r1" returns the site "r1.<name>". It
+// lets a test arm one replica's sites in a process hosting several
+// replicas (every in-process instance shares one registry).
+func Scoped(r *Registry, scope, name string) *Site {
+	if scope != "" {
+		name = scope + "." + name
+	}
+	return r.Site(name)
 }
 
 // Arm programs the named site (creating it if needed).

@@ -2,11 +2,8 @@ package fault
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -215,52 +212,6 @@ func TestScoped(t *testing.T) {
 	}
 	if _, ok := Scoped(r, "r2", "store.write").Fire(); ok {
 		t.Fatal("sibling scope fired")
-	}
-}
-
-func TestAdminHandler(t *testing.T) {
-	r := NewRegistry(1)
-	ts := httptest.NewServer(AdminHandler(r))
-	defer ts.Close()
-
-	post := func(body string) (*http.Response, map[string]SiteStatus) {
-		resp, err := http.Post(ts.URL+"/v1/faults", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var snap map[string]SiteStatus
-		_ = json.NewDecoder(resp.Body).Decode(&snap)
-		return resp, snap
-	}
-
-	resp, snap := post(`{"spec":"s1=fail,every:2"}`)
-	if resp.StatusCode != http.StatusOK || !snap["s1"].Armed {
-		t.Fatalf("arm via admin: status %d snap %+v", resp.StatusCode, snap)
-	}
-	r.Site("s1").Fire()
-	r.Site("s1").Fire()
-
-	getResp, err := http.Get(ts.URL + "/v1/faults")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got map[string]SiteStatus
-	_ = json.NewDecoder(getResp.Body).Decode(&got)
-	getResp.Body.Close()
-	if got["s1"].Hits != 2 || got["s1"].Fired != 1 {
-		t.Fatalf("admin GET snapshot = %+v", got["s1"])
-	}
-
-	resp, snap = post(`{"reset":true}`)
-	if resp.StatusCode != http.StatusOK || snap["s1"].Armed {
-		t.Fatalf("reset via admin: status %d snap %+v", resp.StatusCode, snap)
-	}
-	if resp, _ := post(`{"spec":"bad spec"}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec accepted: %d", resp.StatusCode)
-	}
-	if resp, _ := post(`{"unknown":1}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field accepted: %d", resp.StatusCode)
 	}
 }
 

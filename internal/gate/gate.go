@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,9 +98,6 @@ type Options struct {
 	// Seed perturbs the routing-key hash (so each seed gives each point
 	// another home replica) and seeds the jitter source (default 1).
 	Seed int64
-	// FaultAdmin mounts the test-only /v1/faults admin endpoint on the
-	// gateway handler. Never enable it on a production-facing listener.
-	FaultAdmin bool
 }
 
 // Retry-backoff bounds.
@@ -128,7 +126,12 @@ type replica struct {
 type Gateway struct {
 	opt      Options
 	replicas []*replica
-	lat      latencyEWMA // fleet-wide success latency, drives the hedge delay
+	// transport is shared by every replica's client. It keeps as many
+	// idle connections per replica as points can be in flight
+	// (Concurrency, at least 2), so a sweep's bursts reuse connections
+	// instead of dialing anew.
+	transport *http.Transport
+	lat       latencyEWMA // fleet-wide success latency, drives the hedge delay
 
 	// every lists all replica indexes and others[x] every index but x:
 	// pick's candidate sets when every eligible replica is healthy and
@@ -200,11 +203,14 @@ func New(opt Options) (*Gateway, error) {
 	g.histBreakerSkip = g.attemptVec.With(attemptBreakerSkip)
 	g.histFailure = g.attemptVec.With(attemptFailure)
 	g.histCanceled = g.attemptVec.With(attemptCanceled)
+	g.transport = http.DefaultTransport.(*http.Transport).Clone()
+	g.transport.MaxIdleConnsPerHost = max(2, opt.Concurrency)
+	hc := &http.Client{Transport: g.transport}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
 	for _, u := range opt.Replicas {
 		r := &replica{
 			url:    u,
-			client: api.NewClient(u, nil),
+			client: api.NewClient(u, hc),
 			brk:    newBreaker(opt.BreakerThreshold, opt.BreakerCooldown),
 		}
 		r.healthy.Store(true) // optimistic: demoted by the first failed probe or attempt
@@ -227,11 +233,12 @@ func New(opt Options) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the prober and aborts in-flight routing. Safe to call more
-// than once.
+// Close stops the prober, aborts in-flight routing and closes the idle
+// replica connections. Safe to call more than once.
 func (g *Gateway) Close() {
 	g.cancel()
 	g.wg.Wait()
+	g.transport.CloseIdleConnections()
 }
 
 // Context returns the gateway's lifetime context. HTTP servers should use

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 
-	"swarmhints/internal/fault"
 	"swarmhints/internal/front"
 	"swarmhints/internal/obs"
 	"swarmhints/swarm/api"
@@ -39,9 +38,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /metrics", front.Metrics(g.PromMetrics))
 	obs.Default.Mount(mux)
-	if g.opt.FaultAdmin {
-		mux.Handle("/v1/faults", fault.AdminHandler(fault.Default))
-	}
 	return mux
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -353,5 +354,37 @@ func TestGatewayOverloadKeepsHomes(t *testing.T) {
 	if c.BreakerOpens[busy.URL] != 0 || !c.Healthy[busy.URL] {
 		t.Errorf("shedding replica: breaker opened %d times, healthy %v; want 0 and healthy",
 			c.BreakerOpens[busy.URL], c.Healthy[busy.URL])
+	}
+}
+
+// TestGatewayReusesReplicaConnections: a sweep keeps up to Concurrency
+// points in flight on one replica, so the gateway must keep that many idle
+// connections to it between bursts. A repeat of the same sweep, with every
+// point again in flight at once, must then dial no new connection.
+func TestGatewayReusesReplicaConnections(t *testing.T) {
+	svc := service.New(service.Options{Workers: 4, Validate: true})
+	var dials atomic.Int64
+	rep := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/run" {
+			time.Sleep(50 * time.Millisecond) // hold every point in flight at once
+		}
+		svc.Handler().ServeHTTP(w, r)
+	}))
+	rep.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	rep.Start()
+	t.Cleanup(func() { rep.Close(); svc.Close() })
+	_, gw := startChaosGateway(t, Options{Replicas: []string{rep.URL}, Concurrency: 8})
+
+	first := postSweep(t, gw.URL, "json")
+	after := dials.Load()
+	if second := postSweep(t, gw.URL, "json"); !bytes.Equal(first, second) {
+		t.Fatal("repeated sweep changed its bytes")
+	}
+	if n := dials.Load() - after; n != 0 {
+		t.Errorf("repeated sweep dialed %d new replica connections (first sweep dialed %d), want 0", n, after)
 	}
 }

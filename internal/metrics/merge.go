@@ -80,11 +80,11 @@ func SummarizeSeeds(snaps []*Snapshot) *SeedSummary {
 	return sm
 }
 
-// Merge accumulates o into s: every integer counter is summed (per-tile
-// blocks via TileCounters.Add over aligned tiles), and the derived metrics
-// are recomputed from the merged counters — never averaged — so a merged
-// snapshot obeys exactly the same derivations as a single run's. Cycles
-// becomes total simulated cycles across the merged runs. Both snapshots
+// Merge accumulates o into s: the chip-level counters and the aligned
+// per-tile blocks are summed, and the aggregates and derived metrics are
+// refilled from the merged tiles (never averaged), so a merged snapshot
+// obeys exactly the same derivations as a single run's. Cycles becomes
+// total simulated cycles across the merged runs. Both snapshots
 // must describe the same machine shape (cores, tile count). Merge clears
 // SeedSummary; MergeSnapshots attaches the summary over the full seed set.
 //
@@ -102,37 +102,8 @@ func (s *Snapshot) Merge(o *Snapshot) error {
 	}
 
 	s.Cycles += o.Cycles
-	s.CommittedTasks += o.CommittedTasks
-	s.AbortedAttempts += o.AbortedAttempts
-	s.SquashedTasks += o.SquashedTasks
-	s.SpilledTasks += o.SpilledTasks
-	s.StolenTasks += o.StolenTasks
-	s.EnqueuedTasks += o.EnqueuedTasks
-
-	s.CommitCycles += o.CommitCycles
-	s.AbortCycles += o.AbortCycles
-	s.SpillCycles += o.SpillCycles
-	s.StallCycles += o.StallCycles
-	s.EmptyCycles += o.EmptyCycles
-
-	s.TrafficMem += o.TrafficMem
-	s.TrafficAbort += o.TrafficAbort
-	s.TrafficTask += o.TrafficTask
-	s.TrafficGVT += o.TrafficGVT
-	s.TrafficTotal += o.TrafficTotal
-
-	s.L1Hits += o.L1Hits
-	s.L2Hits += o.L2Hits
-	s.L3Hits += o.L3Hits
-	s.MemAccesses += o.MemAccesses
-	s.RemoteForwards += o.RemoteForwards
-	s.Invalidations += o.Invalidations
-	s.Writebacks += o.Writebacks
-
-	s.Comparisons += o.Comparisons
 	s.GVTRounds += o.GVTRounds
 	s.Reconfigs += o.Reconfigs
-
 	for i := range s.PerTile {
 		s.PerTile[i].Add(&o.PerTile[i])
 	}
@@ -155,43 +126,8 @@ func (s *Snapshot) Merge(o *Snapshot) error {
 	}
 
 	s.SeedSummary = nil
-	s.recomputeDerived()
+	s.derive()
 	return nil
-}
-
-// recomputeDerived rebuilds the derived float fields from the counter
-// fields, using the same formulas as sim.Stats — which is what keeps a
-// merged snapshot byte-identical through the StatsFromSnapshot round trip.
-func (s *Snapshot) recomputeDerived() {
-	s.WastedFraction = 0
-	if d := s.AbortCycles + s.CommitCycles; d > 0 {
-		s.WastedFraction = float64(s.AbortCycles) / float64(d)
-	}
-
-	s.LoadImbalance = 0
-	if len(s.PerTile) > 0 {
-		var max, sum uint64
-		for i := range s.PerTile {
-			c := s.PerTile[i].CommitCycles
-			sum += c
-			if c > max {
-				max = c
-			}
-		}
-		if sum > 0 {
-			mean := float64(sum) / float64(len(s.PerTile))
-			s.LoadImbalance = float64(max) / mean
-		}
-	}
-
-	s.TrafficFracMem, s.TrafficFracAbort, s.TrafficFracTask, s.TrafficFracGVT = 0, 0, 0, 0
-	if s.TrafficTotal > 0 {
-		tot := float64(s.TrafficTotal)
-		s.TrafficFracMem = float64(s.TrafficMem) / tot
-		s.TrafficFracAbort = float64(s.TrafficAbort) / tot
-		s.TrafficFracTask = float64(s.TrafficTask) / tot
-		s.TrafficFracGVT = float64(s.TrafficGVT) / tot
-	}
 }
 
 // MergeSnapshots folds the per-seed snapshots — given in canonical seed
@@ -204,14 +140,8 @@ func MergeSnapshots(snaps []*Snapshot) (*Snapshot, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("metrics: merge of zero snapshots")
 	}
-	merged := &Snapshot{}
-	*merged = *snaps[0]
-	merged.PerTile = make([]TileCounters, len(snaps[0].PerTile))
-	copy(merged.PerTile, snaps[0].PerTile)
-	if cl := snaps[0].Classification; cl != nil {
-		c := *cl
-		merged.Classification = &c
-	}
+	first := snaps[0]
+	merged := NewSnapshot(first.Chip(), first.PerTile, first.Classification, nil)
 	for _, o := range snaps[1:] {
 		if o == nil {
 			return nil, fmt.Errorf("metrics: merge of nil snapshot")
@@ -220,7 +150,6 @@ func MergeSnapshots(snaps []*Snapshot) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	merged.recomputeDerived()
 	merged.SeedSummary = SummarizeSeeds(snaps)
 	return merged, nil
 }

@@ -9,32 +9,29 @@ import (
 )
 
 // seedSnap builds a synthetic per-seed snapshot with every counter family
-// populated and distinct per seed, so a dropped term in Merge shows up as a
-// wrong sum rather than a lucky zero.
+// populated on every tile, distinct per seed and per tile, so a dropped
+// term in Merge shows up as a wrong sum rather than a lucky zero.
 func seedSnap(i uint64) *Snapshot {
-	s := &Snapshot{
-		Cycles: 1000 + i, Cores: 4, NumTiles: 2,
-		CommittedTasks: 100 + i, AbortedAttempts: 10 + i, SquashedTasks: 5 + i,
-		SpilledTasks: 3 + i, StolenTasks: 2 + i, EnqueuedTasks: 120 + i,
-		CommitCycles: 800 + i, AbortCycles: 80 + i, SpillCycles: 8 + i,
-		StallCycles: 40 + i, EmptyCycles: 20 + i,
-		TrafficMem: 50 + i, TrafficAbort: 15 + i, TrafficTask: 25 + i,
-		TrafficGVT: 10 + i, TrafficTotal: 100 + 4*i,
-		L1Hits: 500 + i, L2Hits: 50 + i, L3Hits: 5 + i, MemAccesses: 2 + i,
-		RemoteForwards: 7 + i, Invalidations: 6 + i, Writebacks: 4 + i,
-		Comparisons: 300 + i, GVTRounds: 30 + i, Reconfigs: 1 + i,
-		Classification: &AccessClassification{
-			MultiHintRO: 0.1 * float64(i+1), SingleHintRO: 0.2,
-			MultiHintRW: 0.05, SingleHintRW: 0.15, Arguments: 0.3,
-			TotalAccesses: 1000 * (i + 1),
-		},
-		PerTile: []TileCounters{
-			{CommitCycles: 500 + i, CommittedTasks: 60 + i, L1Hits: 300 + i},
-			{CommitCycles: 300 + i, CommittedTasks: 40 + i, L1Hits: 200 + i},
-		},
+	tiles := make([]TileCounters, 2)
+	for j := range tiles {
+		k := i + 1000*uint64(j)
+		tiles[j] = TileCounters{
+			CommitCycles: 400 + k, AbortCycles: 40 + k, SpillCycles: 4 + k,
+			StallCycles: 20 + k, EmptyCycles: 10 + k,
+			CommittedTasks: 50 + k, AbortedAttempts: 5 + k, SquashedTasks: 3 + k,
+			SpilledTasks: 2 + k, StolenTasks: 1 + k, EnqueuedTasks: 60 + k,
+			Traffic: [NumTrafficClasses]uint64{25 + k, 8 + k, 12 + k, 5 + k},
+			L1Hits:  250 + k, L2Hits: 25 + k, L3Hits: 3 + k, MemAccesses: 1 + k,
+			RemoteForwards: 4 + k, Invalidations: 3 + k, Writebacks: 2 + k,
+			Comparisons: 150 + k,
+		}
 	}
-	s.recomputeDerived()
-	return s
+	cl := &AccessClassification{
+		MultiHintRO: 0.1 * float64(i+1), SingleHintRO: 0.2,
+		MultiHintRW: 0.05, SingleHintRW: 0.15, Arguments: 0.3,
+		TotalAccesses: 1000 * (i + 1),
+	}
+	return NewSnapshot(Chip{Cycles: 1000 + i, Cores: 4, GVTRounds: 30 + i, Reconfigs: 1 + i}, tiles, cl, nil)
 }
 
 func TestMergeSumsCountersAndRecomputesDerived(t *testing.T) {

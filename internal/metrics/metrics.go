@@ -27,7 +27,7 @@ var TrafficClassNames = [NumTrafficClasses]string{"mem", "abort", "task", "gvt"}
 type TileCounters struct {
 	// Cycle breakdown. The four core categories (commit, abort, stall,
 	// empty) partition this tile's core-cycles exactly; spill cycles are
-	// coalescer work charged on top (see Stats.CoreCycleTotal in
+	// coalescer work charged on top (see CycleBreakdown.CoreTotal in
 	// internal/sim).
 	CommitCycles uint64 `json:"commitCycles"`
 	AbortCycles  uint64 `json:"abortCycles"`
@@ -90,15 +90,6 @@ func (t *TileCounters) Add(o *TileCounters) {
 	t.Comparisons += o.Comparisons
 }
 
-// TotalTraffic sums this tile's injected flits over all classes.
-func (t *TileCounters) TotalTraffic() uint64 {
-	var sum uint64
-	for _, f := range t.Traffic {
-		sum += f
-	}
-	return sum
-}
-
 // Recorder is the per-run collection point: one TileCounters per tile plus
 // the few chip-level counters with no tile attribution. One Recorder is
 // created per engine, so concurrent engines in a parallel sweep share no
@@ -126,13 +117,7 @@ func (r *Recorder) Tiles() int { return len(r.tiles) }
 func (r *Recorder) Tile(i int) *TileCounters { return &r.tiles[i] }
 
 // Aggregate sums every tile's counters into one chip-wide block.
-func (r *Recorder) Aggregate() TileCounters {
-	var agg TileCounters
-	for i := range r.tiles {
-		agg.Add(&r.tiles[i])
-	}
-	return agg
-}
+func (r *Recorder) Aggregate() TileCounters { return Sum(r.tiles) }
 
 // Snapshot returns a copy of the per-tile counters.
 func (r *Recorder) Snapshot() []TileCounters {

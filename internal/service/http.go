@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 
-	"swarmhints/internal/fault"
 	"swarmhints/internal/front"
 	"swarmhints/internal/obs"
 	"swarmhints/swarm/api"
@@ -38,9 +37,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", front.Metrics(s.PromMetrics))
 	obs.Default.Mount(mux)
-	if s.opt.FaultAdmin {
-		mux.Handle("/v1/faults", fault.AdminHandler(fault.Default))
-	}
 	return mux
 }
 

@@ -74,9 +74,6 @@ type Options struct {
 	// which all share fault.Default — can target one. Production leaves it
 	// empty.
 	FaultScope string
-	// FaultAdmin mounts the test-only /v1/faults admin endpoint on the
-	// service handler. Never enable it on a production-facing listener.
-	FaultAdmin bool
 }
 
 // DefaultOptions returns the standard service configuration: GOMAXPROCS

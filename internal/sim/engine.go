@@ -247,31 +247,13 @@ func (e *Engine) dumpState() string {
 // every chip-wide aggregate is the sum of the per-tile counters, and the
 // per-tile blocks themselves ride along for the per-tile views.
 func (e *Engine) finalizeStats() {
-	agg := e.rec.Aggregate()
-	e.stats.Cycles = e.now
-	e.stats.Cores = len(e.cores)
-	e.stats.Breakdown = CycleBreakdown{
-		Commit: agg.CommitCycles,
-		Abort:  agg.AbortCycles,
-		Spill:  agg.SpillCycles,
-		Stall:  agg.StallCycles,
-		Empty:  agg.EmptyCycles,
-	}
-	e.stats.CommittedTasks = agg.CommittedTasks
-	e.stats.AbortedAttempts = agg.AbortedAttempts
-	e.stats.SquashedTasks = agg.SquashedTasks
-	e.stats.SpilledTasks = agg.SpilledTasks
-	e.stats.StolenTasks = agg.StolenTasks
-	e.stats.EnqueuedTasks = agg.EnqueuedTasks
-	e.stats.Traffic = agg.Traffic
-	e.stats.Cache = cache.StatsFrom(agg)
-	e.stats.Comparisons = agg.Comparisons
-	e.stats.Reconfigs = e.schd.Reconfigs()
-	e.stats.GVTRounds = e.arb.Rounds()
-	e.stats.Tiles = e.rec.Snapshot()
+	var cl *Classification
 	if e.prof != nil {
-		e.stats.Classification = e.prof.classify()
+		c := e.prof.classify()
+		cl = &c
 	}
+	chip := metrics.Chip{Cycles: e.now, Cores: len(e.cores), GVTRounds: e.arb.Rounds(), Reconfigs: uint64(e.schd.Reconfigs())}
+	e.stats = newStats(chip, e.rec.Snapshot(), cl, nil)
 }
 
 func (e *Engine) schedule(kind int, t uint64, core int, gen uint64) {

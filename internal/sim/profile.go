@@ -7,6 +7,8 @@ package sim
 // vs. multi-hint (>90% of accesses from tasks of a single hint). Task
 // arguments are counted as their own category, as in the paper's figures.
 
+import "swarmhints/internal/metrics"
+
 // roRatio is the reads-per-write threshold above which data counts as
 // read-only. The paper uses 1000 on billion-cycle runs; our scaled runs use
 // a proportionally scaled threshold (results are "mostly insensitive to the
@@ -84,17 +86,9 @@ func (w *wordProfile) readOnly() bool {
 }
 
 // Classification is the Fig. 3/6 access breakdown: fractions of all
-// accesses by committing tasks falling in each category.
-type Classification struct {
-	MultiHintRO  float64
-	SingleHintRO float64
-	MultiHintRW  float64
-	SingleHintRW float64
-	Arguments    float64
-	// TotalAccesses is the denominator (including argument accesses), used
-	// to compare CG vs. FG total work (Fig. 6 bar heights).
-	TotalAccesses uint64
-}
+// accesses by committing tasks falling in each category, and their total
+// (used to compare CG vs. FG total work, Fig. 6 bar heights).
+type Classification = metrics.AccessClassification
 
 type profiler struct {
 	words map[uint64]*wordProfile
@@ -133,7 +127,7 @@ func (p *profiler) onCommit(reads, writes []uint64, hint uint64, hasHint bool, t
 }
 
 // classify produces the final breakdown.
-func (p *profiler) classify() *Classification {
+func (p *profiler) classify() Classification {
 	var c Classification
 	var mRO, sRO, mRW, sRW uint64
 	for _, w := range p.words {
@@ -152,7 +146,7 @@ func (p *profiler) classify() *Classification {
 	total := mRO + sRO + mRW + sRW + p.args
 	c.TotalAccesses = total
 	if total == 0 {
-		return &c
+		return c
 	}
 	f := func(x uint64) float64 { return float64(x) / float64(total) }
 	c.MultiHintRO = f(mRO)
@@ -160,5 +154,5 @@ func (p *profiler) classify() *Classification {
 	c.MultiHintRW = f(mRW)
 	c.SingleHintRW = f(sRW)
 	c.Arguments = f(p.args)
-	return &c
+	return c
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"swarmhints/internal/cache"
 	"swarmhints/internal/metrics"
@@ -75,192 +76,70 @@ type Stats struct {
 }
 
 // TotalTraffic sums flits over all classes.
-func (s *Stats) TotalTraffic() uint64 {
-	var t uint64
-	for _, f := range s.Traffic {
-		t += f
-	}
-	return t
-}
+func (s *Stats) TotalTraffic() uint64 { return metrics.TotalTraffic(s.Traffic) }
 
 // WastedFraction returns aborted cycles / (aborted + committed) cycles —
 // the paper's "wasted work" metric.
 func (s *Stats) WastedFraction() float64 {
-	d := s.Breakdown.Abort + s.Breakdown.Commit
-	if d == 0 {
-		return 0
-	}
-	return float64(s.Breakdown.Abort) / float64(d)
+	return metrics.WastedFraction(s.Breakdown.Abort, s.Breakdown.Commit)
 }
 
-// LoadImbalance returns max/mean committed cycles per tile — the paper's
-// load-imbalance story (Sec. VI): 1.0 is perfect balance, T (the tile
-// count) is all work on one tile. Returns 0 when nothing committed.
-func (s *Stats) LoadImbalance() float64 {
-	if len(s.Tiles) == 0 {
-		return 0
-	}
-	var max, sum uint64
-	for i := range s.Tiles {
-		c := s.Tiles[i].CommitCycles
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(s.Tiles))
-	return float64(max) / mean
-}
+// LoadImbalance returns max/mean committed cycles per tile (see
+// metrics.LoadImbalance); 0 when nothing committed.
+func (s *Stats) LoadImbalance() float64 { return metrics.LoadImbalance(s.Tiles) }
 
-// TrafficFraction returns class c's share of total injected flits
-// (0 when there is no traffic).
-func (s *Stats) TrafficFraction(c int) float64 {
-	total := s.TotalTraffic()
-	if total == 0 {
-		return 0
+// newStats builds a run's Stats from its chip-level values and its per-tile
+// blocks, which it takes ownership of: every aggregate field is the sum of
+// the tiles. The classification is copied.
+func newStats(chip metrics.Chip, tiles []metrics.TileCounters, cl *Classification, ss *metrics.SeedSummary) Stats {
+	a := metrics.Sum(tiles)
+	st := Stats{
+		Cycles: chip.Cycles,
+		Cores:  chip.Cores,
+		Breakdown: CycleBreakdown{
+			Commit: a.CommitCycles,
+			Abort:  a.AbortCycles,
+			Spill:  a.SpillCycles,
+			Stall:  a.StallCycles,
+			Empty:  a.EmptyCycles,
+		},
+		CommittedTasks:  a.CommittedTasks,
+		AbortedAttempts: a.AbortedAttempts,
+		SquashedTasks:   a.SquashedTasks,
+		SpilledTasks:    a.SpilledTasks,
+		StolenTasks:     a.StolenTasks,
+		EnqueuedTasks:   a.EnqueuedTasks,
+		Traffic:         a.Traffic,
+		Cache:           cache.StatsFrom(a),
+		Comparisons:     a.Comparisons,
+		Reconfigs:       int(chip.Reconfigs),
+		GVTRounds:       chip.GVTRounds,
+		Tiles:           tiles,
+		SeedSummary:     ss,
 	}
-	return float64(s.Traffic[c]) / float64(total)
-}
-
-// TileBreakdown returns tile i's cycle breakdown.
-func (s *Stats) TileBreakdown(i int) CycleBreakdown {
-	t := &s.Tiles[i]
-	return CycleBreakdown{
-		Commit: t.CommitCycles,
-		Abort:  t.AbortCycles,
-		Spill:  t.SpillCycles,
-		Stall:  t.StallCycles,
-		Empty:  t.EmptyCycles,
+	if cl != nil {
+		c := *cl
+		st.Classification = &c
 	}
+	return st
 }
 
 // Snapshot converts the run's statistics into the stable machine-readable
-// schema, including the per-tile counter blocks and derived metrics.
+// schema (metrics.NewSnapshot over the per-tile blocks).
 func (s *Stats) Snapshot() *metrics.Snapshot {
-	tiles := make([]metrics.TileCounters, len(s.Tiles))
-	copy(tiles, s.Tiles)
-	var cl *metrics.AccessClassification
-	if s.Classification != nil {
-		cl = &metrics.AccessClassification{
-			MultiHintRO:   s.Classification.MultiHintRO,
-			SingleHintRO:  s.Classification.SingleHintRO,
-			MultiHintRW:   s.Classification.MultiHintRW,
-			SingleHintRW:  s.Classification.SingleHintRW,
-			Arguments:     s.Classification.Arguments,
-			TotalAccesses: s.Classification.TotalAccesses,
-		}
-	}
-	return &metrics.Snapshot{
-		Cycles:   s.Cycles,
-		Cores:    s.Cores,
-		NumTiles: len(s.Tiles),
-
-		CommittedTasks:  s.CommittedTasks,
-		AbortedAttempts: s.AbortedAttempts,
-		SquashedTasks:   s.SquashedTasks,
-		SpilledTasks:    s.SpilledTasks,
-		StolenTasks:     s.StolenTasks,
-		EnqueuedTasks:   s.EnqueuedTasks,
-
-		CommitCycles: s.Breakdown.Commit,
-		AbortCycles:  s.Breakdown.Abort,
-		SpillCycles:  s.Breakdown.Spill,
-		StallCycles:  s.Breakdown.Stall,
-		EmptyCycles:  s.Breakdown.Empty,
-
-		TrafficMem:   s.Traffic[0],
-		TrafficAbort: s.Traffic[1],
-		TrafficTask:  s.Traffic[2],
-		TrafficGVT:   s.Traffic[3],
-		TrafficTotal: s.TotalTraffic(),
-
-		L1Hits:         s.Cache.L1Hits,
-		L2Hits:         s.Cache.L2Hits,
-		L3Hits:         s.Cache.L3Hits,
-		MemAccesses:    s.Cache.MemAccesses,
-		RemoteForwards: s.Cache.RemoteForwards,
-		Invalidations:  s.Cache.Invalidations,
-		Writebacks:     s.Cache.Writebacks,
-
-		Comparisons: s.Comparisons,
-		GVTRounds:   s.GVTRounds,
-		Reconfigs:   uint64(s.Reconfigs),
-
-		WastedFraction:   s.WastedFraction(),
-		LoadImbalance:    s.LoadImbalance(),
-		TrafficFracMem:   s.TrafficFraction(0),
-		TrafficFracAbort: s.TrafficFraction(1),
-		TrafficFracTask:  s.TrafficFraction(2),
-		TrafficFracGVT:   s.TrafficFraction(3),
-
-		Classification: cl,
-		SeedSummary:    s.SeedSummary,
-		PerTile:        tiles,
-	}
+	chip := metrics.Chip{Cycles: s.Cycles, Cores: s.Cores, GVTRounds: s.GVTRounds, Reconfigs: uint64(s.Reconfigs)}
+	return metrics.NewSnapshot(chip, s.Tiles, s.Classification, s.SeedSummary)
 }
 
 // StatsFromSnapshot rebuilds run statistics from their machine-readable
-// snapshot — the inverse of Snapshot. Counter fields and the per-tile
-// blocks are copied back verbatim; the derived metrics (wasted fraction,
-// load imbalance, traffic fractions) are not stored on Stats and will be
-// recomputed from the same integers they were derived from, so the rebuilt
-// Stats snapshot and export byte-identically to the original run's. The
-// persistent result store (internal/store) relies on this to serve disk
-// records as first-class results.
+// snapshot — the inverse of Snapshot. It rebuilds from the chip-level
+// values and the per-tile blocks, as the engine does at the end of a run,
+// so the rebuilt Stats snapshot and export byte-identically to the
+// original run's. The persistent result store (internal/store) relies on
+// this to serve disk records as first-class results.
 func StatsFromSnapshot(sn *metrics.Snapshot) *Stats {
-	tiles := make([]metrics.TileCounters, len(sn.PerTile))
-	copy(tiles, sn.PerTile)
-	var cl *Classification
-	if sn.Classification != nil {
-		cl = &Classification{
-			MultiHintRO:   sn.Classification.MultiHintRO,
-			SingleHintRO:  sn.Classification.SingleHintRO,
-			MultiHintRW:   sn.Classification.MultiHintRW,
-			SingleHintRW:  sn.Classification.SingleHintRW,
-			Arguments:     sn.Classification.Arguments,
-			TotalAccesses: sn.Classification.TotalAccesses,
-		}
-	}
-	return &Stats{
-		Cycles: sn.Cycles,
-		Cores:  sn.Cores,
-		Breakdown: CycleBreakdown{
-			Commit: sn.CommitCycles,
-			Abort:  sn.AbortCycles,
-			Spill:  sn.SpillCycles,
-			Stall:  sn.StallCycles,
-			Empty:  sn.EmptyCycles,
-		},
-
-		CommittedTasks:  sn.CommittedTasks,
-		AbortedAttempts: sn.AbortedAttempts,
-		SquashedTasks:   sn.SquashedTasks,
-		SpilledTasks:    sn.SpilledTasks,
-		StolenTasks:     sn.StolenTasks,
-		EnqueuedTasks:   sn.EnqueuedTasks,
-
-		Traffic: [4]uint64{sn.TrafficMem, sn.TrafficAbort, sn.TrafficTask, sn.TrafficGVT},
-
-		Cache: cache.Stats{
-			L1Hits:         sn.L1Hits,
-			L2Hits:         sn.L2Hits,
-			L3Hits:         sn.L3Hits,
-			MemAccesses:    sn.MemAccesses,
-			RemoteForwards: sn.RemoteForwards,
-			Invalidations:  sn.Invalidations,
-			Writebacks:     sn.Writebacks,
-		},
-		Comparisons: sn.Comparisons,
-		Reconfigs:   int(sn.Reconfigs),
-		GVTRounds:   sn.GVTRounds,
-
-		Tiles:          tiles,
-		Classification: cl,
-		SeedSummary:    sn.SeedSummary,
-	}
+	st := newStats(sn.Chip(), slices.Clone(sn.PerTile), sn.Classification, sn.SeedSummary)
+	return &st
 }
 
 // MergeStats folds per-seed runs of one configuration — in canonical seed

@@ -114,8 +114,9 @@ func TestDerivedMetricEdgeCases(t *testing.T) {
 	if got := empty.LoadImbalance(); got != 0 {
 		t.Errorf("LoadImbalance with no tiles = %f, want 0", got)
 	}
-	if got := empty.TrafficFraction(0); got != 0 {
-		t.Errorf("TrafficFraction with no traffic = %f, want 0", got)
+	if sn := empty.Snapshot(); sn.TrafficFracMem != 0 || sn.TrafficFracAbort != 0 ||
+		sn.TrafficFracTask != 0 || sn.TrafficFracGVT != 0 {
+		t.Errorf("traffic fractions with no traffic = %+v, want 0", sn)
 	}
 
 	// All-idle tiles: committed cycles are zero everywhere.
@@ -132,11 +133,8 @@ func TestDerivedMetricEdgeCases(t *testing.T) {
 
 	// Fractions over all classes sum to 1 when there is traffic.
 	st := runStats(t, "des", 16, swarm.Random)
-	var fsum float64
-	for c := 0; c < 4; c++ {
-		fsum += st.TrafficFraction(c)
-	}
-	if fsum < 0.999 || fsum > 1.001 {
+	sn := st.Snapshot()
+	if fsum := sn.TrafficFracMem + sn.TrafficFracAbort + sn.TrafficFracTask + sn.TrafficFracGVT; fsum < 0.999 || fsum > 1.001 {
 		t.Errorf("traffic fractions sum to %f", fsum)
 	}
 	// LoadImbalance is bounded by [1, tiles].
