@@ -56,23 +56,17 @@ func ParseInts(s, flagName string) ([]int, error) {
 	return out, nil
 }
 
-// ParseSched parses a scheduler name (case-insensitive).
+// ParseSched parses a scheduler name (case-insensitive): the SchedFlag
+// name of one scheduler kind.
 func ParseSched(s string) (swarm.SchedKind, error) {
-	switch strings.ToLower(s) {
-	case "random":
-		return swarm.Random, nil
-	case "stealing":
-		return swarm.Stealing, nil
-	case "hints":
-		return swarm.Hints, nil
-	case "lbhints":
-		return swarm.LBHints, nil
-	case "lbidle":
-		return swarm.LBIdleProxy, nil
-	case "hintsnoser":
-		return swarm.HintsNoSerial, nil
+	var have []string
+	for k := swarm.Random; k <= swarm.HintsNoSerial; k++ {
+		if strings.EqualFold(s, SchedFlag(k)) {
+			return k, nil
+		}
+		have = append(have, SchedFlag(k))
 	}
-	return 0, fmt.Errorf("unknown scheduler %q (have random, stealing, hints, lbhints, lbidle, hintsnoser)", s)
+	return 0, fmt.Errorf("unknown scheduler %q (have %s)", s, strings.Join(have, ", "))
 }
 
 // SchedFlag returns the wire/flag name of a scheduler kind — the inverse

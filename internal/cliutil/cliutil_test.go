@@ -184,3 +184,13 @@ func TestParseReplicas(t *testing.T) {
 		}
 	}
 }
+
+// TestParseSchedErrorListsKinds: an unknown name is answered with every
+// scheduler's flag name, in kind order.
+func TestParseSchedErrorListsKinds(t *testing.T) {
+	_, err := ParseSched("fifo")
+	want := `unknown scheduler "fifo" (have random, stealing, hints, lbhints, lbidle, hintsnoser)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("ParseSched(fifo) error = %v, want %s", err, want)
+	}
+}

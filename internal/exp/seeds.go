@@ -72,11 +72,10 @@ type SeedRun struct {
 	// configuration with more seeds only runs the seeds not yet on disk.
 	Store *store.Store
 	// Exec, when non-nil, executes one seed replica in place of the local
-	// path and bypasses the Store tier: the service and gateway inject
-	// their own caching stacks here (which must return exactly what
-	// RunPoint(p, Scale, seed, Validate) would), and swarmsim injects RunOn
+	// path and bypasses the Store tier. Only swarmsim injects it, for RunOn
 	// over a machine with custom queue sizes, which is not a canonical
-	// configuration and so is never stored.
+	// configuration and so is never stored. (The /v1 front end fans seed
+	// replicas out as points of its own and merges their snapshots.)
 	Exec func(ctx context.Context, seed int64, p Point) (*swarm.Stats, error)
 }
 

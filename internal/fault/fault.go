@@ -38,19 +38,19 @@ var ErrInjected = errors.New("fault: injected")
 type Plan struct {
 	// Prob fires each eligible hit independently with this probability
 	// (deterministic per (seed, site, hit index); see Site.Fire).
-	Prob float64 `json:"prob,omitempty"`
+	Prob float64
 	// Every fires hit After+1, After+1+Every, ... (1 = every hit).
-	Every int `json:"every,omitempty"`
+	Every int
 	// After skips the first After hits entirely.
-	After int `json:"after,omitempty"`
+	After int
 	// Times caps how many hits fire (0 = unlimited).
-	Times int `json:"times,omitempty"`
+	Times int
 	// Latency is injected delay: the site's consumer sleeps this long
 	// (honoring its context) before acting on the rest of the outcome.
-	Latency time.Duration `json:"latency,omitempty"`
+	Latency time.Duration
 	// Fail injects an error: Fire returns a non-nil Fault.Err wrapping
 	// ErrInjected. Latency-only plans leave it false.
-	Fail bool `json:"fail,omitempty"`
+	Fail bool
 }
 
 // active reports whether the plan can ever fire.
@@ -185,14 +185,6 @@ func hashFloat(seed int64, name string, n uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// SiteStatus is one site's externally visible state, for tests.
-type SiteStatus struct {
-	Armed bool   `json:"armed"`
-	Plan  *Plan  `json:"plan,omitempty"`
-	Hits  uint64 `json:"hits"`
-	Fired uint64 `json:"fired"`
-}
-
 // Registry holds the named sites of one process (or one test's scope).
 // The zero value is not usable; use NewRegistry or the package Default.
 type Registry struct {
@@ -251,26 +243,6 @@ func (r *Registry) Reset() {
 	for _, s := range sites {
 		s.Disarm()
 	}
-}
-
-// Snapshot returns every registered site's status, keyed by name.
-func (r *Registry) Snapshot() map[string]SiteStatus {
-	r.mu.Lock()
-	sites := make(map[string]*Site, len(r.sites))
-	for n, s := range r.sites {
-		sites[n] = s
-	}
-	r.mu.Unlock()
-	out := make(map[string]SiteStatus, len(sites))
-	for n, s := range sites {
-		st := SiteStatus{Armed: s.armed.Load(), Hits: s.hits.Load(), Fired: s.fired.Load()}
-		if p := s.plan.Load(); p != nil && st.Armed {
-			pp := *p
-			st.Plan = &pp
-		}
-		out[n] = st
-	}
-	return out
 }
 
 // ArmSpec parses and applies a -fault spec string: semicolon-separated

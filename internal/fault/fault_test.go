@@ -18,8 +18,8 @@ func TestDisarmedSiteIsNoop(t *testing.T) {
 			t.Fatal("disarmed site fired")
 		}
 	}
-	if st := r.Snapshot()["x"]; st.Hits != 0 || st.Fired != 0 || st.Armed {
-		t.Fatalf("disarmed site moved counters: %+v", st)
+	if hits, fired := s.hits.Load(), s.fired.Load(); hits != 0 || fired != 0 || s.armed.Load() {
+		t.Fatalf("disarmed site moved counters: hits=%d fired=%d", hits, fired)
 	}
 }
 
@@ -166,14 +166,13 @@ func TestArmSpecAndParsePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := r.Snapshot()
-	w := snap["store.write"]
-	if !w.Armed || !w.Plan.Fail || w.Plan.Prob != 0.5 {
-		t.Fatalf("store.write = %+v", w)
+	w := r.Site("store.write")
+	if wp := w.plan.Load(); !w.armed.Load() || !wp.Fail || wp.Prob != 0.5 {
+		t.Fatalf("store.write = %+v", wp)
 	}
-	sl := snap["swarmd.run.slow"]
-	if !sl.Armed || sl.Plan.Latency != 50*time.Millisecond || sl.Plan.Every != 3 || sl.Plan.After != 1 || sl.Plan.Times != 2 {
-		t.Fatalf("swarmd.run.slow = %+v", sl)
+	sl := r.Site("swarmd.run.slow")
+	if sp := sl.plan.Load(); !sl.armed.Load() || sp.Latency != 50*time.Millisecond || sp.Every != 3 || sp.After != 1 || sp.Times != 2 {
+		t.Fatalf("swarmd.run.slow = %+v", sp)
 	}
 
 	for _, bad := range []string{

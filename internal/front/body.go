@@ -15,8 +15,9 @@ import (
 // A point's result travels between tiers as its canonical /v1/run body: the
 // single-record result set exp.ExportSet plus WriteJSON encode for it. swarmd
 // builds it once per result and caches it, the gateway checks a replica's
-// body and relays it verbatim, and the sweep encodings cut each point's
-// stats object out of its body instead of re-deriving it. Laid out:
+// body and relays it verbatim, and the sweep and experiment encodings cut
+// each point's stats object out of its body instead of re-deriving it.
+// Laid out:
 //
 //	{                                        set head
 //	  "schema": "swarmhints.metrics.v1",
@@ -230,8 +231,8 @@ func recordLine(cfg Config, body []byte) ([]byte, error) {
 	return api.EncodeRawRecord(exp.PointLabels(cfg.Point, cfg.Scale, cfg.Seed), stats)
 }
 
-// joinBodies assembles the buffered JSON result set of a sweep from its
-// points' bodies, in point order: the set head, each body's record element
+// joinBodies assembles the buffered JSON result set of a sweep or an
+// experiment from its points' bodies, in point order: the set head, each body's record element
 // between the set separators, and the set close — what WriteJSON writes
 // for the set of decoded records. The set is stamped v2 when any record
 // is. cfgs must not be empty.

@@ -1,14 +1,14 @@
 // Package front is the /v1 run, sweep and experiment front end that swarmd
 // (internal/service) and swarmgate (internal/gate) both serve. It owns
-// request decoding and validation, the seeds > 1 fan-out, the bounded point
-// fan-out, prefix-ordered NDJSON streaming with its completion trailer, the
-// buffered result-set encodings, the paper's experiments run point by
-// point through exp.Runner, and the /metrics handler. A daemon plugs in one
-// point executor — swarmd its cached, coalesced worker fleet, swarmgate its
-// replica router — which answers with the point's canonical /v1/run body
-// (see Body), so every response is assembled from the bytes exp.ExportSet,
-// the encoder the CLIs use, writes, and the two daemons' bytes are
-// identical by construction.
+// request decoding and validation, the seeds > 1 fan-out and merge, the
+// bounded point fan-out, prefix-ordered NDJSON streaming with its
+// completion trailer, the buffered encodings, the paper's experiments run
+// point by point through exp.Runner, and the /metrics handler. A daemon
+// plugs in one point executor — swarmd its cached, coalesced worker fleet,
+// swarmgate its replica router — which answers with the point's canonical
+// /v1/run body (see Body), and every response is assembled from those
+// bodies: the bytes exp.ExportSet, the encoder the CLIs use, writes. So the
+// two daemons' bytes are identical by construction.
 //
 // The handlers speak the typed wire contract in swarm/api: request bodies
 // decode into api structs, every error response is the structured envelope
@@ -21,10 +21,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 
 	"swarmhints/internal/bench"
 	"swarmhints/internal/cliutil"
@@ -190,10 +192,8 @@ func ParseSweep(req api.SweepRequest) ([]exp.Point, bench.Scale, int64, *api.Err
 
 // Run serves POST /v1/run: one configuration, answered with a
 // single-record result set encoded exactly as the CLI export encodes it.
-// seeds > 1 fans the configuration out as seed replicas through
-// exp.SeedRun — each executed under its own per-seed configuration, so
-// every replica is cached and routed like any point — and answers with the
-// merged record.
+// seeds > 1 fans the configuration out as seed replicas (see runSeeds) and
+// answers with the merged record.
 func (f *Front) Run(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := Traced(w, r, f.Name+".run")
 	defer sp.End()
@@ -239,37 +239,38 @@ func (f *Front) Run(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// runSeeds fans cfg out as seed replicas through exp.SeedRun — each
-// executed under its own per-seed configuration, so every replica is cached
-// and routed like any point — decodes each replica's body, and encodes the
-// merged record's body.
+// runSeeds fans cfg out as its seed replicas, each executed under its own
+// per-seed configuration so it is cached and routed like any point, decodes
+// each replica's body once, and encodes the body of their merged snapshot.
 func (f *Front) runSeeds(ctx context.Context, cfg Config, seeds int) ([]byte, error) {
-	sr := exp.SeedRun{
-		Point: cfg.Point, Scale: cfg.Scale, BaseSeed: cfg.Seed,
-		Seeds: seeds, Parallel: f.Parallel,
-		Exec: func(ctx context.Context, seed int64, p exp.Point) (*swarm.Stats, error) {
-			return f.stats(ctx, Config{Scale: cfg.Scale, Seed: seed, Point: p})
-		},
+	replicas := exp.ReplicaSeeds(cfg.Seed, seeds)
+	cfgs := make([]Config, len(replicas))
+	for r, s := range replicas {
+		cfgs[r] = Config{Scale: cfg.Scale, Seed: s, Point: cfg.Point}
 	}
-	st, _, err := sr.Run(ctx)
+	snaps := make([]*metrics.Snapshot, len(cfgs))
+	fan := *f
+	fan.Exec = func(ctx context.Context, c Config) ([]byte, string, error) {
+		// Replica seeds are distinct (DeriveSeed is one-to-one in the
+		// replica index), so a configuration's seed names its replica.
+		r := slices.Index(replicas, c.Seed)
+		body, src, err := f.Exec(ctx, c)
+		if err == nil {
+			snaps[r], err = DecodeBody(c, body)
+		}
+		if err != nil {
+			return nil, "", fmt.Errorf("seed replica %d (seed %d): %w", r, c.Seed, err)
+		}
+		return body, src, nil
+	}
+	if _, err := fan.fanOut(ctx, cfgs, nil); err != nil {
+		return nil, err
+	}
+	merged, err := metrics.MergeSnapshots(snaps)
 	if err != nil {
 		return nil, err
 	}
-	return Body(cfg, st.Snapshot())
-}
-
-// stats executes one configuration and decodes its body, for callers that
-// compute on the statistics themselves.
-func (f *Front) stats(ctx context.Context, cfg Config) (*swarm.Stats, error) {
-	body, _, err := f.Exec(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sn, err := DecodeBody(cfg, body)
-	if err != nil {
-		return nil, err
-	}
-	return swarm.StatsFromSnapshot(sn), nil
+	return Body(cfg, merged)
 }
 
 // Experiments serves GET /v1/experiments: the paper's experiment registry,
@@ -291,8 +292,9 @@ func (f *Front) Experiments(w http.ResponseWriter, _ *http.Request) {
 // a point executed through Exec — from swarmd's shared cache and worker
 // fleet, or on each point's home replica behind swarmgate — so repeated
 // figures are answered mostly from cache. format "text" returns the
-// human-readable tables; the machine-readable formats return the same
-// export the CLI emits.
+// human-readable tables; the machine-readable formats are assembled from
+// the bodies of the points the experiment ran, as a sweep's are, and equal
+// the export the CLI emits.
 func (f *Front) Experiment(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := Traced(w, r, f.Name+".experiment")
 	defer sp.End()
@@ -320,9 +322,7 @@ func (f *Front) Experiment(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "json"
 	}
-	switch format {
-	case "json", "csv", "ndjson", "text":
-	default:
+	if !slices.Contains(api.ExperimentFormats, format) {
 		// Reject up front: an experiment at full scale is minutes of work.
 		api.WriteError(w, api.UnknownFormat(format, api.ExperimentFormats))
 		return
@@ -330,8 +330,25 @@ func (f *Front) Experiment(w http.ResponseWriter, r *http.Request) {
 	opt := exp.DefaultOptions(scale)
 	opt.Seed = seed
 	opt.Parallel = f.Parallel
+	// The points the experiment ran, and their bodies by Config.Key.
+	var mu sync.Mutex
+	var points []exp.Point
+	bodies := make(map[string][]byte)
 	opt.Exec = func(ctx context.Context, p exp.Point) (*swarm.Stats, error) {
-		return f.stats(ctx, Config{Scale: scale, Seed: seed, Point: p})
+		cfg := Config{Scale: scale, Seed: seed, Point: p}
+		body, _, err := f.Exec(ctx, cfg)
+		if err != nil {
+			return nil, err
+		}
+		sn, err := DecodeBody(cfg, body)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		points = append(points, p)
+		bodies[cfg.Key()] = body
+		mu.Unlock()
+		return swarm.StatsFromSnapshot(sn), nil
 	}
 	if len(req.Cores) > 0 {
 		if aerr := CheckCores(req.Cores); aerr != nil {
@@ -343,11 +360,7 @@ func (f *Front) Experiment(w http.ResponseWriter, r *http.Request) {
 	er := exp.NewRunner(opt)
 
 	var tables bytes.Buffer
-	var tableOut io.Writer = &tables
-	if format != "text" {
-		tableOut = io.Discard
-	}
-	if err := e.Run(ctx, er, tableOut); err != nil {
+	if err := e.Run(ctx, er, &tables); err != nil {
 		api.WriteError(w, RunError(err))
 		return
 	}
@@ -359,7 +372,14 @@ func (f *Front) Experiment(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(tables.Bytes())
 		return
 	}
-	WriteResultSet(w, er.Export(), format, api.ExperimentFormats)
+	cfgs := configs(exp.DedupSorted(points), scale, seed)
+	ordered := make([][]byte, len(cfgs))
+	for i, cfg := range cfgs {
+		ordered[i] = bodies[cfg.Key()]
+	}
+	if err := writeBuffered(w, cfgs, ordered, format); err != nil {
+		api.WriteError(w, RunError(err))
+	}
 }
 
 // Sweep serves POST /v1/sweep: the grid's points fan out across the
@@ -392,10 +412,7 @@ func (f *Front) Sweep(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "ndjson"
 	}
-	cfgs := make([]Config, len(points))
-	for i, p := range points {
-		cfgs[i] = Config{Scale: scale, Seed: seed, Point: p}
-	}
+	cfgs := configs(points, scale, seed)
 	switch format {
 	case "ndjson":
 		f.stream(ctx, w, cfgs)
@@ -412,24 +429,65 @@ func (f *Front) Sweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeBuffered writes a completed sweep in a buffered format: the points'
-// bodies spliced into one set, which CSV decodes for its scalar columns.
+// configs places points under the (scale, seed) harness.
+func configs(points []exp.Point, scale bench.Scale, seed int64) []Config {
+	cfgs := make([]Config, len(points))
+	for i, p := range points {
+		cfgs[i] = Config{Scale: scale, Seed: seed, Point: p}
+	}
+	return cfgs
+}
+
+// writeBuffered writes completed points in a buffered format, assembled
+// from their bodies: json splices the bodies into one set, ndjson writes
+// the lines a stream of the points writes, and csv decodes each body once
+// for its scalar columns.
 func writeBuffered(w http.ResponseWriter, cfgs []Config, bodies [][]byte, format string) error {
-	b, err := joinBodies(cfgs, bodies)
+	var b []byte
+	var contentType string
+	var err error
+	switch format {
+	case "json":
+		contentType = "application/json"
+		b, err = joinBodies(cfgs, bodies)
+	case "ndjson":
+		contentType = "application/x-ndjson"
+		b, err = streamHeader(len(cfgs))
+		for i := 0; err == nil && i < len(cfgs); i++ {
+			var line []byte
+			line, err = recordLine(cfgs[i], bodies[i])
+			b = append(b, line...)
+		}
+		if err == nil {
+			var trailer []byte
+			trailer, err = api.EncodeTrailer(len(cfgs))
+			b = append(b, trailer...)
+		}
+	case "csv":
+		contentType = "text/csv"
+		rs := metrics.NewResultSet(exp.ExportFields...)
+		for i, body := range bodies {
+			sn, err := DecodeBody(cfgs[i], body)
+			if err != nil {
+				return err
+			}
+			rs.Append(exp.PointLabels(cfgs[i].Point, cfgs[i].Scale, cfgs[i].Seed), sn)
+		}
+		var buf bytes.Buffer
+		err = rs.WriteCSV(&buf)
+		b = buf.Bytes()
+	}
 	if err != nil {
 		return err
 	}
-	if format == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(b)
-		return nil
-	}
-	var rs metrics.ResultSet
-	if err := json.Unmarshal(b, &rs); err != nil {
-		return err
-	}
-	WriteResultSet(w, &rs, format, api.SweepFormats)
+	w.Header().Set("Content-Type", contentType)
+	_, _ = w.Write(b)
 	return nil
+}
+
+// streamHeader encodes the NDJSON header line of points records.
+func streamHeader(points int) ([]byte, error) {
+	return api.EncodeHeader(api.StreamHeader{Schema: metrics.SchemaVersion, Fields: exp.ExportFields, Points: points})
 }
 
 // fanOut executes every configuration through the executor on a
@@ -496,9 +554,7 @@ func (f *Front) fanOut(ctx context.Context, cfgs []Config, each func(i int, body
 // reproduces the buffered "json" response byte for byte.
 func (f *Front) stream(ctx context.Context, w http.ResponseWriter, cfgs []Config) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	header, err := api.EncodeHeader(api.StreamHeader{
-		Schema: metrics.SchemaVersion, Fields: exp.ExportFields, Points: len(cfgs),
-	})
+	header, err := streamHeader(len(cfgs))
 	if err != nil {
 		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
 		return
@@ -554,35 +610,6 @@ func (f *Front) stream(ctx context.Context, w http.ResponseWriter, cfgs []Config
 	}
 }
 
-// WriteResultSet encodes a completed result set in the requested format.
-// have is the calling endpoint's supported-format list, so an unsupported
-// format is rejected with the formats that endpoint actually offers.
-func WriteResultSet(w http.ResponseWriter, rs *metrics.ResultSet, format string, have []string) {
-	var buf bytes.Buffer
-	var contentType string
-	var err error
-	switch format {
-	case "json":
-		contentType = "application/json"
-		err = rs.WriteJSON(&buf)
-	case "csv":
-		contentType = "text/csv"
-		err = rs.WriteCSV(&buf)
-	case "ndjson":
-		contentType = "application/x-ndjson"
-		err = writeNDJSON(&buf, rs)
-	default:
-		api.WriteError(w, api.UnknownFormat(format, have))
-		return
-	}
-	if err != nil {
-		api.WriteError(w, api.Errorf(api.CodeInternal, "%v", err))
-		return
-	}
-	w.Header().Set("Content-Type", contentType)
-	_, _ = w.Write(buf.Bytes())
-}
-
 // Metrics serves the families render returns in the Prometheus text
 // exposition format: the /metrics endpoint of swarmd and swarmgate.
 func Metrics(render func() []metrics.PromMetric) http.HandlerFunc {
@@ -590,35 +617,6 @@ func Metrics(render func() []metrics.PromMetric) http.HandlerFunc {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = metrics.WriteProm(w, render())
 	}
-}
-
-// writeNDJSON encodes a completed result set in the api NDJSON framing:
-// header line, one compact record per line, completion trailer.
-func writeNDJSON(w io.Writer, rs *metrics.ResultSet) error {
-	header, err := api.EncodeHeader(api.StreamHeader{
-		Schema: rs.Schema, Fields: rs.Fields, Points: len(rs.Records),
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(header); err != nil {
-		return err
-	}
-	for _, rec := range rs.Records {
-		line, err := api.EncodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-	}
-	trailer, err := api.EncodeTrailer(len(rs.Records))
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(trailer)
-	return err
 }
 
 // RunError maps an execution failure to its wire error. A failure that

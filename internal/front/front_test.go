@@ -68,15 +68,6 @@ func TestSweepRequestParseValidation(t *testing.T) {
 	}
 }
 
-// configs places points under the tiny-scale default harness.
-func configs(points []exp.Point) []Config {
-	cfgs := make([]Config, len(points))
-	for i, p := range points {
-		cfgs[i] = Config{Scale: bench.Tiny, Seed: 7, Point: p}
-	}
-	return cfgs
-}
-
 // TestFanOutReportsRootCause: the first point to fail cancels the grid, and
 // the cancellations it causes in the points still in flight never displace
 // it as the reported error — whichever point index each landed on.
@@ -100,7 +91,7 @@ func TestFanOutReportsRootCause(t *testing.T) {
 		<-ctx.Done()
 		return nil, "", ctx.Err()
 	}}
-	_, err := f.fanOut(context.Background(), configs(points), nil)
+	_, err := f.fanOut(context.Background(), configs(points, bench.Tiny, 7), nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("fan-out reported %v, want the root cause %v", err, boom)
 	}
@@ -121,7 +112,7 @@ func TestFanOutEachErrorCancels(t *testing.T) {
 		return []byte("{}"), "", nil
 	}}
 	calls := 0
-	_, err := f.fanOut(context.Background(), configs(points), func(int, []byte) error {
+	_, err := f.fanOut(context.Background(), configs(points, bench.Tiny, 7), func(int, []byte) error {
 		calls++
 		return cut
 	})

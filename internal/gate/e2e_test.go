@@ -425,6 +425,8 @@ func TestGatewayExperimentFansOut(t *testing.T) {
 	client := api.NewClient(ts.URL, nil)
 	for _, tc := range []struct{ id, format string }{
 		{"fig2", "json"},
+		{"fig2", "csv"},
+		{"fig2", "ndjson"},
 		{"ablserial", "json"},
 		{"ablserial", "text"},
 	} {

@@ -440,6 +440,65 @@ func TestExperimentEndpointMatchesGolden(t *testing.T) {
 		t.Errorf("experiment counter = %d, want 1", got)
 	}
 
+	// csv and ndjson are the CLI's encodings of the same runs: the
+	// harness export written as CSV, and as NDJSON header, record lines
+	// and trailer.
+	opt := exp.DefaultOptions(bench.Tiny)
+	opt.Cores = []int{1, 4}
+	er := exp.NewRunner(opt)
+	fig2, err := exp.Find("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fig2.Run(context.Background(), er, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	rs := er.Export()
+	var wantCSV bytes.Buffer
+	if err := rs.WriteCSV(&wantCSV); err != nil {
+		t.Fatal(err)
+	}
+	wantNDJSON, err := api.EncodeHeader(api.StreamHeader{Schema: rs.Schema, Fields: rs.Fields, Points: len(rs.Records)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range rs.Records {
+		line, err := api.EncodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantNDJSON = append(wantNDJSON, line...)
+	}
+	trailer, err := api.EncodeTrailer(len(rs.Records))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNDJSON = append(wantNDJSON, trailer...)
+	for _, tc := range []struct {
+		format, contentType string
+		want                []byte
+	}{
+		{"csv", "text/csv", wantCSV.Bytes()},
+		{"ndjson", "application/x-ndjson", wantNDJSON},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/experiments/fig2", "application/json",
+			strings.NewReader(`{"scale":"tiny","cores":[1,4],"format":"`+tc.format+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("experiment %s status %d: %s", tc.format, resp.StatusCode, b)
+		}
+		if !bytes.Equal(b, tc.want) {
+			t.Errorf("experiment %s differs from the CLI's encoding:\n%s\nwant:\n%s", tc.format, b, tc.want)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != tc.contentType {
+			t.Errorf("experiment %s Content-Type %q, want %q", tc.format, ct, tc.contentType)
+		}
+	}
+
 	// The figure's points are now cached service-wide: a direct run of one
 	// of them must be a cache hit.
 	if _, src, err := svc.Stats(context.Background(), Config{

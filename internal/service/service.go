@@ -431,10 +431,6 @@ func (s *Service) Counters() Counters {
 	return c
 }
 
-// Store returns the persistent result-store tier, or nil when the service
-// runs memory-only.
-func (s *Service) Store() *store.Store { return s.opt.Store }
-
 // PromMetrics renders the operational counters as Prometheus metric
 // families for the /metrics endpoint. The store families appear only when
 // the persistent tier is configured.

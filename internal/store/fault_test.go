@@ -133,9 +133,10 @@ func TestDegradedModeTripProbeRecover(t *testing.T) {
 	if !s.Degraded() {
 		t.Fatal("store not degraded after DegradeAfter consecutive failures")
 	}
-	// While degraded, writes bypass the disk entirely — the still-armed
-	// write site must see no hits from them.
-	before := fault.Default.Snapshot()["store.write"].Hits
+	// While degraded, writes bypass the disk entirely. The write site is
+	// still armed to fail every hit, so a Put that reached the disk path
+	// would count a write error.
+	before := s.Counters().WriteErrors
 	skips := 0
 	for i := 0; i < 5; i++ {
 		if err := s.Put("k", []byte("v")); errors.Is(err, store.ErrDegraded) {
@@ -145,8 +146,8 @@ func TestDegradedModeTripProbeRecover(t *testing.T) {
 	if skips != 5 {
 		t.Fatalf("degraded skips = %d, want 5 (probe leaked inside the interval)", skips)
 	}
-	if after := fault.Default.Snapshot()["store.write"].Hits; after != before {
-		t.Fatalf("degraded Puts reached the disk path: %d hits -> %d", before, after)
+	if after := s.Counters().WriteErrors; after != before {
+		t.Fatalf("degraded Puts reached the disk path: %d write errors -> %d", before, after)
 	}
 	c := s.Counters()
 	if c.DegradeTrips != 1 || c.DegradedSkips != 5 || !c.Degraded {

@@ -249,29 +249,39 @@ func TestPointRunCarriesSeed(t *testing.T) {
 
 // TestEncodeRawRecordMatchesEncodeRecord: a record line written from the
 // labels and any indentation of the snapshot's encoding is exactly
-// EncodeRecord's line, for labels that need escaping and for nil labels.
+// EncodeRecord's line, and both are encoding/json's encoding of the record,
+// for labels that need escaping, nil labels, and a nil snapshot.
 func TestEncodeRawRecordMatchesEncodeRecord(t *testing.T) {
 	sn := &metrics.Snapshot{Cycles: 12345, Cores: 4, NumTiles: 4, CommittedTasks: 99}
-	for _, labels := range []map[string]string{
-		{"bench": "des", "sched": "Hints", "cores": "4", "profile": "false", "scale": "tiny", "seed": "-7"},
-		{"b<>&": "\u2028x\u2029", "a": "", "q\"\\": "\x01\t\xff é"},
-		nil,
+	for _, rec := range []metrics.Record{
+		{Labels: map[string]string{"bench": "des", "sched": "Hints", "cores": "4", "profile": "false", "scale": "tiny", "seed": "-7"}, Snapshot: sn},
+		{Labels: map[string]string{"b<>&": "\u2028x\u2029", "a": "", "q\"\\": "\x01\t\xff é"}, Snapshot: sn},
+		{Labels: nil, Snapshot: sn},
+		{Labels: map[string]string{"bench": "des"}, Snapshot: nil},
+		{},
 	} {
-		rec := metrics.Record{Labels: labels, Snapshot: sn}
-		want, err := EncodeRecord(rec)
+		want, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := json.MarshalIndent(sn, "      ", "  ")
+		want = append(want, '\n')
+		line, err := EncodeRecord(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EncodeRawRecord(labels, stats)
+		if !bytes.Equal(line, want) {
+			t.Errorf("EncodeRecord %q:\n got %s\nwant %s", rec.Labels, line, want)
+		}
+		stats, err := json.MarshalIndent(rec.Snapshot, "      ", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EncodeRawRecord(rec.Labels, stats)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("labels %q:\n got %s\nwant %s", labels, got, want)
+			t.Errorf("EncodeRawRecord %q:\n got %s\nwant %s", rec.Labels, got, want)
 		}
 	}
 }

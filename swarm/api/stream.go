@@ -60,15 +60,15 @@ func EncodeHeader(h StreamHeader) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// EncodeRecord encodes one record line, newline included. Both swarmd and
-// swarmgate emit records through this one encoder, which is what makes a
-// gateway-reassembled stream byte-identical to a single server's.
+// EncodeRecord encodes one record line, newline included: json.Marshal of
+// the record. The daemons write the same lines from a point's body with
+// EncodeRawRecord; this form serves callers that hold a decoded record.
 func EncodeRecord(rec metrics.Record) ([]byte, error) {
-	b, err := json.Marshal(rec)
+	stats, err := json.Marshal(rec.Snapshot)
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	return EncodeRawRecord(rec.Labels, stats)
 }
 
 // EncodeRawRecord encodes one record line from the record's labels and an
