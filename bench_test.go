@@ -1,11 +1,11 @@
 // Package swarmhints_test hosts one testing.B benchmark per table and
-// figure of the paper's evaluation (see DESIGN.md's per-experiment index),
+// figure of the paper's evaluation (exp.Registry, `experiments -list`),
 // plus engine hot-path micro-benchmarks (allocs/op on the enqueue/commit
 // path) and a sweep-level wall-clock benchmark over internal/runner.
 // Each figure benchmark regenerates its experiment at Tiny scale with a
 // reduced core sweep so `go test -bench=.` completes in minutes; use
-// `go run ./cmd/experiments -scale small` (or full) for the recorded
-// EXPERIMENTS.md numbers.
+// `go run ./cmd/experiments -scale small` (or full) for the figures at
+// their larger scales.
 package swarmhints_test
 
 import (

@@ -1,6 +1,7 @@
-// Command experiments regenerates the paper's tables and figures
-// (DESIGN.md, per-experiment index). Each experiment prints the same rows
-// or series the paper reports, computed on the scaled synthetic inputs.
+// Command experiments regenerates the paper's tables and figures (-list
+// prints the per-experiment index, exp.Registry). Each experiment prints
+// the same rows or series the paper reports, computed on the scaled
+// synthetic inputs.
 //
 // Every experiment primes its full configuration grid through the parallel
 // sweep runner (internal/runner), so independent simulations fan out across
@@ -28,11 +29,11 @@
 // -seeds N (> 1) runs every configuration point as N seed replicas
 // (workload seeds derived from -seed) and caches/exports the merged record:
 // counters summed, derived metrics recomputed, cross-seed dispersion in the
-// snapshot's seedSummary block (schema swarmhints.metrics.v2). -seed-shards
-// bounds how many shard jobs one point's replicas are split into; output is
-// byte-identical for every -seed-shards and -parallel value. With -store,
-// each replica persists under its ordinary per-seed key, so re-running with
-// more seeds only executes the new ones.
+// snapshot's seedSummary block (schema swarmhints.metrics.v2). Every
+// replica is one job on the sweep runner's pool and replicas merge in fixed
+// seed order, so output is byte-identical for every -parallel value. With
+// -store, each replica persists under its ordinary per-seed key, so
+// re-running with more seeds only executes the new ones.
 //
 // -store DIR adds the persistent result store (internal/store) under the
 // in-memory cache: every simulation point is written through on first
@@ -63,7 +64,6 @@ func main() {
 		scaleName = flag.String("scale", "small", "input scale: tiny|small|full")
 		seed      = flag.Int64("seed", 7, "workload seed (base of the derived replica seeds when -seeds > 1)")
 		seeds     = flag.Int("seeds", 1, "seed replicas per configuration point, merged into one record with cross-seed error bars (schema v2)")
-		seedShard = flag.Int("seed-shards", 0, "shard jobs the -seeds replicas of one point are split into (0 = one per replica; any value is byte-identical)")
 		cores     = flag.String("cores", "", "comma-separated core sweep override, e.g. 1,16,256")
 		parallel  = flag.Int("parallel", 0, "simulation runs in flight at once (0 = GOMAXPROCS)")
 		format    = flag.String("format", "", "machine-readable output: json|csv (default: human tables)")
@@ -92,7 +92,6 @@ func main() {
 	opt := exp.DefaultOptions(scale)
 	opt.Seed = *seed
 	opt.Seeds = *seeds
-	opt.SeedShards = *seedShard
 	opt.Parallel = *parallel
 	opt.Store, err = cliutil.OpenStore(*storeDir, *storeMax)
 	if err != nil {
@@ -110,6 +109,9 @@ func main() {
 		}
 		if len(opt.Cores) == 0 {
 			fatal(fmt.Errorf("-cores lists no core counts"))
+		}
+		if err := cliutil.CheckCores(opt.Cores); err != nil {
+			fatal(err)
 		}
 	}
 	runner := exp.NewRunner(opt)

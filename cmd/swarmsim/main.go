@@ -21,17 +21,16 @@
 //	swarmsim -bench bfs,sssp,des -sched random,hints -cores 1,16,64 -parallel 8
 //	swarmsim -bench silo -cores 64 -taskq 16,32,64 -commitq 4,8,16
 //	swarmsim -bench des -cores 64 -seeds 5       # 5 derived-seed replicas
-//	swarmsim -bench des -cores 64 -seeds 8 -seed-shards 4  # one merged record with error bars
+//	swarmsim -bench des -cores 64 -seeds 8 -merge  # one merged record with error bars
 //	swarmsim -bench mis -cores 64 -format json   # machine-readable results
 //	swarmsim -bench bfs -cores 1,16 -format csv -out sweep.csv
 //	swarmsim -bench des -cores 64 -store results.store  # reuse results across invocations
 //	swarmsim -list
 //
-// Every configuration runs as one exp.SeedRun — its -seeds replicas, as
-// -seed-shards shard jobs (0 = one job per replica) — and all
-// configurations' shard jobs share one sweep-runner worker pool. The output
-// is one row per replica, or with -seed-shards one merged row per
-// configuration.
+// Every configuration runs as one exp.SeedRun of -seeds replicas, and
+// exp.RunSeeds runs every replica of every configuration as one job on one
+// sweep-runner worker pool. The output is one row per replica, or with
+// -merge one merged row per configuration.
 //
 // -store DIR adds the persistent result store (internal/store): sweep
 // points at the default queue sizes are the same canonical configurations
@@ -73,7 +72,7 @@ var schedWidth = func() int {
 // sweepFields is the label column order of the sweep's result set.
 var sweepFields = []string{"bench", "sched", "cores", "taskq", "commitq", "replica", "seed", "scale"}
 
-// mergedFields is the label column order in -seed-shards mode: one merged
+// mergedFields is the label column order in -merge mode: one merged
 // record per configuration, labeled with the replica count and base seed
 // instead of a per-replica index.
 var mergedFields = []string{"bench", "sched", "cores", "taskq", "commitq", "seeds", "seed", "scale"}
@@ -113,9 +112,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		scaleName  = fs.String("scale", "small", "input scale: tiny|small|full")
 		seed       = fs.Int64("seed", 7, "workload seed (sweep seed when -seeds > 1)")
 		seeds      = fs.Int("seeds", 1, "seed replicas per configuration, derived from -seed")
-		seedShards = fs.Int("seed-shards", 0, "merge the -seeds replicas of each configuration into one record with cross-seed error bars, sharded into at most N shard jobs (0 = per-replica records)")
+		merged     = fs.Bool("merge", false, "merge the -seeds replicas of each configuration into one record with cross-seed error bars")
 		parallel   = fs.Int("parallel", 0, "runs in flight at once (0 = GOMAXPROCS)")
-		profile    = fs.Bool("profile", false, "collect access classification (Fig. 3) when the output has one row: one configuration, with one seed or with -seed-shards")
+		profile    = fs.Bool("profile", false, "collect access classification (Fig. 3) when the output has one row: one configuration, with one seed or with -merge")
 		validate   = fs.Bool("validate", true, "check results against the serial reference")
 		format     = fs.String("format", "", "machine-readable output: json|csv (default: human report)")
 		outFile    = fs.String("out", "", "write structured results to FILE (keeps human report on stdout)")
@@ -156,6 +155,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := cliutil.CheckCores(cores); err != nil {
+		return err
+	}
 	taskqs, err := cliutil.ParseInts(*taskqList, "-taskq")
 	if err != nil {
 		return err
@@ -183,16 +185,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *seeds < 1 {
 		*seeds = 1
 	}
-	// -seed-shards switches to merged-record mode: each configuration's
-	// replicas collapse into one record with cross-seed error bars (schema
-	// swarmhints.metrics.v2), byte-identical for every -seed-shards and
-	// -parallel value because replicas always merge in fixed seed order.
-	merged := *seedShards > 0
-	if merged && *seeds < 2 {
-		return fmt.Errorf("-seed-shards requires -seeds > 1")
+	// -merge switches to merged-record mode: each configuration's replicas
+	// collapse into one record with cross-seed error bars (schema
+	// swarmhints.metrics.v2), byte-identical for every -parallel value
+	// because replicas always merge in fixed seed order.
+	if *merged && *seeds < 2 {
+		return fmt.Errorf("-merge requires -seeds > 1")
 	}
 	rows := len(benches) * len(kinds) * len(cores) * len(taskqs) * len(commitqs)
-	if !merged {
+	if !*merged {
 		rows *= *seeds
 	}
 
@@ -213,7 +214,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 								Scale:    scale,
 								BaseSeed: *seed,
 								Seeds:    *seeds,
-								Shards:   *seedShards,
 								Validate: *validate,
 								Store:    resultStore,
 							},
@@ -238,27 +238,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// Every configuration's shard jobs go on one worker pool. Interrupt
+	// Every configuration's replicas go on one worker pool. Interrupt
 	// cancels the sweep at the next job boundary; completed jobs are still
 	// reported through OnResult, canceled ones never are.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	per := make([][]*swarm.Stats, len(cfgs))
-	var jobs []runner.Job
+	runs := make([]exp.SeedRun, len(cfgs))
 	for i, c := range cfgs {
-		per[i] = make([]*swarm.Stats, *seeds)
-		jobs = append(jobs, c.ShardJobs(ctx, per[i])...)
+		runs[i] = c.SeedRun
 	}
-	done := 0
-	results := runner.Sweep(ctx, jobs, runner.Options{
+	done, jobs := 0, len(runs)*(*seeds)
+	per, err := exp.RunSeeds(ctx, runs, runner.Options{
 		Parallel: *parallel,
 		Seed:     *seed,
 		OnResult: func(res runner.Result) {
 			done++
-			fmt.Fprintf(stderr, "swarmsim: [%d/%d] %s\n", done, len(jobs), res.Name)
+			fmt.Fprintf(stderr, "swarmsim: [%d/%d] %s\n", done, jobs, res.Name)
 		},
 	})
-	if err := runner.FirstErr(results); err != nil {
+	if err != nil {
 		return err
 	}
 
@@ -278,7 +276,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				"scale":   scale.String(),
 			}
 		}
-		if merged {
+		if *merged {
 			st, err := swarm.MergeStats(per[i])
 			if err != nil {
 				return err
@@ -293,7 +291,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if !output.ReplacesHuman() {
 		switch {
-		case merged:
+		case *merged:
 			fmt.Fprintf(stdout, "%-10s %-*s %6s %6s %7s %5s %14s %20s %10s %8s %12s\n",
 				"bench", schedWidth, "sched", "cores", "taskq", "commitq", "seeds", "cycles", "cycles/seed", "tasks", "aborts", "flits")
 			for _, r := range recs {
@@ -322,7 +320,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	rs := metrics.NewResultSet(sweepFields...)
-	if merged {
+	if *merged {
 		rs = metrics.NewResultSet(mergedFields...)
 		rs.Schema = metrics.SchemaVersionV2 // merged records carry SeedSummary
 	}

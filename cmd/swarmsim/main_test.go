@@ -25,12 +25,12 @@ func TestSwarmsimGoldens(t *testing.T) {
 		// -profile applies only when the output is one record: per-replica
 		// rows of three seeds are not profiled, one merged row is.
 		{"profile-seeds3", "profile-seeds3", "json", "-bench sssp -sched hints -cores 16 -profile -seeds 3"},
-		{"profile-seeds3-merged", "profile-seeds3-merged", "json", "-bench sssp -sched hints -cores 16 -profile -seeds 3 -seed-shards 2"},
+		{"profile-seeds3-merged", "profile-seeds3-merged", "json", "-bench sssp -sched hints -cores 16 -profile -seeds 3 -merge"},
 		{"sweep", "sweep", "csv", "-bench bfs,sssp -sched random,hints -cores 1,4"},
 		{"seeds3", "seeds3", "json", "-bench des -sched lbhints -cores 4 -seeds 3"},
-		{"seeds4-shards2", "seeds4-shards2", "csv", "-bench des,silo -sched hints -cores 4,16 -seeds 4 -seed-shards 2"},
+		{"seeds4-shards2", "seeds4-shards2", "csv", "-bench des,silo -sched hints -cores 4,16 -seeds 4 -merge"},
 		{"custom-queues", "custom-queues", "csv", "-bench silo -sched hints -cores 16 -taskq 16,32 -commitq 4"},
-		{"custom-queues-merged", "custom-queues-merged", "json", "-bench silo -sched hints -cores 16 -taskq 16,32 -commitq 4 -seeds 3 -seed-shards 2"},
+		{"custom-queues-merged", "custom-queues-merged", "json", "-bench silo -sched hints -cores 16 -taskq 16,32 -commitq 4 -seeds 3 -merge"},
 		// The same sweep cold, then warm, on one store: identical bytes.
 		{"store-cold", "sweep", "csv", "-bench bfs,sssp -sched random,hints -cores 1,4 -store " + storeDir},
 		{"store-warm", "sweep", "csv", "-bench bfs,sssp -sched random,hints -cores 1,4 -store " + storeDir},
@@ -72,9 +72,11 @@ func TestSwarmsimJSONToStdout(t *testing.T) {
 func TestSwarmsimRejectsBadArgs(t *testing.T) {
 	for _, args := range []string{
 		"-bench nope -cores 4",
-		"-seeds 1 -seed-shards 2",
+		"-seeds 1 -merge",
 		"-sched fastest",
 		"-cores 4,x",
+		"-cores 5",
+		"-cores 0",
 		"-out x.json",
 	} {
 		var stdout, stderr bytes.Buffer

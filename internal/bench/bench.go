@@ -4,8 +4,8 @@
 // the fine-grain (FG) restructurings of Sec. V for bfs, sssp, astar, and
 // color.
 //
-// Inputs are the synthetic substitutes from internal/workload (see
-// DESIGN.md for the substitution table).
+// Inputs are the synthetic substitutes from internal/workload (its package
+// doc names the dataset each one stands in for).
 package bench
 
 import (
@@ -17,7 +17,7 @@ import (
 )
 
 // Scale selects input sizes: Tiny for unit tests, Small for quick
-// experiment runs, Full for the recorded EXPERIMENTS.md runs.
+// experiment runs, Full for the largest experiment runs.
 type Scale int
 
 // Scales.

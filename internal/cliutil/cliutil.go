@@ -56,6 +56,21 @@ func ParseInts(s, flagName string) ([]int, error) {
 	return out, nil
 }
 
+// CheckCores rejects core counts the simulated machine cannot be built
+// with: sim.Config.WithCores silently rounds up to the next 1-or-k²·c mesh,
+// which would label and key results with a configuration that never ran.
+func CheckCores(cores []int) error {
+	for _, c := range cores {
+		if c < 1 {
+			return fmt.Errorf("cores must be >= 1, got %d", c)
+		}
+		if got := swarm.ScaledConfig().WithCores(c).Cores(); got != c {
+			return fmt.Errorf("cores must be 1 or fill a square mesh (nearest is %d), got %d", got, c)
+		}
+	}
+	return nil
+}
+
 // ParseSched parses a scheduler name (case-insensitive): the SchedFlag
 // name of one scheduler kind.
 func ParseSched(s string) (swarm.SchedKind, error) {

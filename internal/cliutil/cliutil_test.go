@@ -32,6 +32,28 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
+func TestCheckCores(t *testing.T) {
+	for _, tc := range []struct {
+		cores []int
+		err   string // "" = accepted
+	}{
+		{[]int{1, 4, 16, 36, 64, 256}, ""},
+		{nil, ""},
+		{[]int{0}, "cores must be >= 1, got 0"},
+		{[]int{-4}, "cores must be >= 1, got -4"},
+		{[]int{5}, "cores must be 1 or fill a square mesh (nearest is 16), got 5"},
+		{[]int{16, 3}, "cores must be 1 or fill a square mesh (nearest is 4), got 3"},
+	} {
+		got := ""
+		if err := CheckCores(tc.cores); err != nil {
+			got = err.Error()
+		}
+		if got != tc.err {
+			t.Errorf("CheckCores(%v) = %q, want %q", tc.cores, got, tc.err)
+		}
+	}
+}
+
 func TestParseSched(t *testing.T) {
 	for in, want := range map[string]swarm.SchedKind{
 		"random": swarm.Random, "Stealing": swarm.Stealing, "HINTS": swarm.Hints,

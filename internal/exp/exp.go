@@ -1,8 +1,7 @@
 // Package exp is the experiment harness: one runner per table and figure of
 // the paper's evaluation (Sec. II-C, IV, V, VI), each regenerating the same
 // rows or series the paper reports, on the scaled synthetic inputs. The
-// per-experiment index lives in DESIGN.md; measured-vs-paper shapes are
-// recorded in EXPERIMENTS.md.
+// per-experiment index is Registry (`experiments -list` prints it).
 package exp
 
 import (
@@ -34,11 +33,11 @@ type Options struct {
 	Parallel int
 	// Exec, when non-nil, replaces direct point execution: every simulation
 	// an experiment performs is a Point, and each one not already in the
-	// runner's cache is executed through it instead of RunPoint. The /v1
-	// front end (internal/front) injects its daemon's point executor here —
-	// swarmd's shared result cache, request coalescing and worker fleet, or
-	// swarmgate's replica router; results must be exactly what
-	// RunPoint(p, Scale, Seed, Validate) would return.
+	// runner's cache is executed through it, as its SeedRun's executor,
+	// instead of RunPoint. The /v1 front end (internal/front) injects its
+	// daemon's point executor here — swarmd's shared result cache, request
+	// coalescing and worker fleet, or swarmgate's replica router; results
+	// must be exactly what RunPoint(p, Scale, Seed, Validate) would return.
 	Exec func(ctx context.Context, p Point) (*swarm.Stats, error)
 	// Store, when non-nil, adds a persistent tier under the in-memory
 	// result cache: every cache miss consults the store (keyed by
@@ -54,11 +53,6 @@ type Options struct {
 	// Seeds later only runs the seeds not yet on disk. Ignored when Exec
 	// is set: a pluggable executor binds the harness seed.
 	Seeds int
-	// SeedShards bounds the shard jobs the Seeds replicas of one point are
-	// partitioned into (0 = one replica per shard). Shard boundaries are a
-	// pure function of (Seeds, SeedShards), so results are byte-identical
-	// at any value.
-	SeedShards int
 }
 
 // seeds returns the effective seed-replica count (minimum 1).
@@ -171,6 +165,7 @@ func RunPoint(p Point, scale bench.Scale, seed int64, validate bool) (*swarm.Sta
 
 // Run executes one (benchmark, scheduler, cores) point, with optional
 // access profiling, validating against the serial reference when enabled.
+// A cache miss runs through Prime, the runner's one execution path.
 func (r *Runner) Run(ctx context.Context, name string, kind swarm.SchedKind, cores int, profile bool) (*swarm.Stats, error) {
 	p := Point{Name: name, Kind: kind, Cores: cores, Profile: profile}
 	key := p.Key()
@@ -183,44 +178,28 @@ func (r *Runner) Run(ctx context.Context, name string, kind swarm.SchedKind, cor
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	st, err := r.runPoint(ctx, p)
-	if err != nil {
+	if err := r.Prime(ctx, []Point{p}); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
-	r.cache[key] = st
-	r.pts[key] = p
-	r.mu.Unlock()
-	return st, nil
+	defer r.mu.Unlock()
+	return r.cache[key], nil
 }
 
-// runPoint executes one configuration without touching the in-memory cache.
-// It uses the harness seed for the workload regardless of who calls it — the
-// paper methodology holds the input fixed across every configuration — which
-// is also what makes parallel and sequential executions byte-identical.
-// Without an Exec the point runs as a SeedRun, whose replicas go through the
-// persistent Store tier when one is configured.
-func (r *Runner) runPoint(ctx context.Context, p Point) (*swarm.Stats, error) {
-	if r.opt.Exec != nil {
-		return r.opt.Exec(ctx, p)
-	}
-	sr := r.seedRun(p)
-	if sr.Seeds > 1 {
-		merged, _, err := sr.Run(ctx)
-		return merged, err
-	}
-	return sr.runReplica(ctx, sr.BaseSeed)
-}
-
-// Prime executes every not-yet-cached point concurrently through the sweep
-// runner and fills the cache with the results. Each experiment calls it
-// with its full configuration grid up front, so the subsequent formatting
-// loops hit the cache and only the independent simulations fan out across
-// host cores. Duplicated points are run once; the first failure (by grid
-// order, so deterministically) is returned.
+// Prime executes every not-yet-cached point concurrently and fills the
+// cache with the results. Each experiment calls it with its full
+// configuration grid up front, so the subsequent formatting loops hit the
+// cache and only the independent simulations fan out across host cores.
+// Duplicated points are run once; the first failure (by grid order, so
+// deterministically) is returned.
+//
+// Every point is a SeedRun at the harness seed — the paper methodology
+// holds the input fixed across every configuration — and all of them go
+// through one RunSeeds pool: with Seeds > 1 a point caches the fixed-order
+// merge of its replicas, otherwise its one run.
 func (r *Runner) Prime(ctx context.Context, points []Point) error {
 	seen := make(map[string]bool, len(points))
-	var todo []Point
+	var runs []SeedRun
 	r.mu.Lock()
 	for _, p := range points {
 		key := p.Key()
@@ -228,82 +207,47 @@ func (r *Runner) Prime(ctx context.Context, points []Point) error {
 			continue
 		}
 		seen[key] = true
-		todo = append(todo, p)
+		runs = append(runs, r.seedRun(p))
 	}
 	r.mu.Unlock()
-	if len(todo) == 0 {
+	if len(runs) == 0 {
 		return nil
 	}
-	if r.opt.seeds() > 1 {
-		return r.primeSeeds(ctx, todo)
-	}
-	jobs := make([]runner.Job, len(todo))
-	for i, p := range todo {
-		p := p
-		jobs[i] = runner.Job{
-			Name: p.Key(),
-			// The derived sweep seed is ignored: experiment points fix the
-			// workload seed (see runPoint), so priming changes when runs
-			// happen, never what they compute.
-			Run: func(int64) (*swarm.Stats, error) { return r.runPoint(ctx, p) },
-		}
-	}
-	results := runner.Sweep(ctx, jobs, runner.Options{Parallel: r.opt.Parallel, Seed: r.opt.Seed})
-	r.mu.Lock()
-	for i, res := range results {
-		if res.Err == nil && res.Stats != nil {
-			key := todo[i].Key()
-			r.cache[key] = res.Stats
-			r.pts[key] = todo[i]
-		}
-	}
-	r.mu.Unlock()
-	return runner.FirstErr(results)
-}
-
-// seedRun builds the seed-replica fan-out of one point from the runner's
-// options.
-func (r *Runner) seedRun(p Point) SeedRun {
-	return SeedRun{
-		Point:    p,
-		Scale:    r.opt.Scale,
-		BaseSeed: r.opt.Seed,
-		Seeds:    r.opt.seeds(),
-		Shards:   r.opt.SeedShards,
-		Parallel: r.opt.Parallel,
-		Validate: r.opt.Validate,
-		Store:    r.opt.Store,
-	}
-}
-
-// primeSeeds primes not-yet-cached points in multi-seed mode: every point's
-// seed replicas are partitioned into shard jobs and all points' shards are
-// flattened onto one worker pool, then each point's replicas are merged in
-// fixed seed order. Shard boundaries and merge order are pure functions of
-// the options, so the cached aggregates are byte-identical at any Parallel.
-func (r *Runner) primeSeeds(ctx context.Context, todo []Point) error {
-	per := make([][]*swarm.Stats, len(todo))
-	var jobs []runner.Job
-	for i, p := range todo {
-		per[i] = make([]*swarm.Stats, r.opt.seeds())
-		jobs = append(jobs, r.seedRun(p).ShardJobs(ctx, per[i])...)
-	}
-	results := runner.Sweep(ctx, jobs, runner.Options{Parallel: r.opt.Parallel, Seed: r.opt.Seed})
-	if err := runner.FirstErr(results); err != nil {
+	per, err := RunSeeds(ctx, runs, runner.Options{Parallel: r.opt.Parallel, Seed: r.opt.Seed})
+	if err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, p := range todo {
-		merged, err := swarm.MergeStats(per[i])
-		if err != nil {
-			return err
+	for i, sr := range runs {
+		st := per[i][0]
+		if len(per[i]) > 1 {
+			if st, err = swarm.MergeStats(per[i]); err != nil {
+				return err
+			}
 		}
-		key := p.Key()
-		r.cache[key] = merged
-		r.pts[key] = p
+		key := sr.Point.Key()
+		r.cache[key] = st
+		r.pts[key] = sr.Point
 	}
 	return nil
+}
+
+// seedRun builds the seed-replica fan-out of one point from the runner's
+// options; an Options.Exec becomes its executor.
+func (r *Runner) seedRun(p Point) SeedRun {
+	sr := SeedRun{
+		Point:    p,
+		Scale:    r.opt.Scale,
+		BaseSeed: r.opt.Seed,
+		Seeds:    r.opt.seeds(),
+		Validate: r.opt.Validate,
+		Store:    r.opt.Store,
+	}
+	if exec := r.opt.Exec; exec != nil {
+		sr.Exec = func(ctx context.Context, _ int64, p Point) (*swarm.Stats, error) { return exec(ctx, p) }
+	}
+	return sr
 }
 
 // PrimeGrid is Prime over the cross product names × kinds × cores.

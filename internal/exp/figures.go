@@ -422,11 +422,11 @@ func LBProxy(ctx context.Context, r *Runner, w io.Writer) error {
 	return nil
 }
 
-// AblSerial is a design-choice ablation called out in DESIGN.md: spatial
-// hints consist of (i) same-tile mapping and (ii) same-hint dispatch
-// serialization (Sec. III-B). This experiment runs Hints beside
-// HintsNoSerial, its mapping without the serialization, to separate the two
-// mechanisms on the contention-heavy benchmarks.
+// AblSerial is a design-choice ablation: spatial hints consist of (i)
+// same-tile mapping and (ii) same-hint dispatch serialization (Sec. III-B).
+// This experiment runs Hints beside HintsNoSerial, its mapping without the
+// serialization, to separate the two mechanisms on the contention-heavy
+// benchmarks.
 func AblSerial(ctx context.Context, r *Runner, w io.Writer) error {
 	mc := r.opt.maxCores()
 	names := []string{"des", "silo", "kmeans", "genome"}

@@ -26,44 +26,13 @@ func ReplicaSeeds(base int64, n int) []int64 {
 	return seeds
 }
 
-// SeedShards partitions n seed replicas into at most shards contiguous
-// [start, end) index ranges in canonical order: replica order, earlier
-// shards at most one replica larger. shards <= 0 or >= n yields one shard
-// per replica. The partition depends only on (n, shards), never on worker
-// count or scheduling, so shard boundaries are deterministic.
-func SeedShards(n, shards int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if shards <= 0 || shards > n {
-		shards = n
-	}
-	out := make([][2]int, 0, shards)
-	base, rem := n/shards, n%shards
-	start := 0
-	for s := 0; s < shards; s++ {
-		size := base
-		if s < rem {
-			size++
-		}
-		out = append(out, [2]int{start, start + size})
-		start += size
-	}
-	return out
-}
-
-// SeedRun executes the seed replicas of one configuration as shard jobs on
-// the sweep-runner worker pool and merges the per-seed results in fixed
-// seed order — so the aggregate record is byte-identical at any Parallel
-// or Shards value, including the sequential single-engine reference
-// (Shards=1, Parallel=1).
+// SeedRun is the seed replicas of one configuration: Point run at each of
+// the workload seeds ReplicaSeeds(BaseSeed, Seeds). RunSeeds executes them.
 type SeedRun struct {
 	Point    Point
 	Scale    bench.Scale
 	BaseSeed int64
 	Seeds    int // seed replicas; <=1 runs just BaseSeed
-	Shards   int // shard jobs; 0 (or >= Seeds) = one replica per shard
-	Parallel int // worker goroutines (0 = GOMAXPROCS)
 	Validate bool
 
 	// Store, when non-nil (and Exec nil), is the persistent tier: each
@@ -72,10 +41,11 @@ type SeedRun struct {
 	// configuration with more seeds only runs the seeds not yet on disk.
 	Store *store.Store
 	// Exec, when non-nil, executes one seed replica in place of the local
-	// path and bypasses the Store tier. Only swarmsim injects it, for RunOn
-	// over a machine with custom queue sizes, which is not a canonical
-	// configuration and so is never stored. (The /v1 front end fans seed
-	// replicas out as points of its own and merges their snapshots.)
+	// path and bypasses the Store tier: the experiment Runner's
+	// Options.Exec, or swarmsim's RunOn over a machine with custom queue
+	// sizes, which is not a canonical configuration and so is never stored.
+	// (The /v1 front end fans seed replicas out as points of its own and
+	// merges their snapshots.)
 	Exec func(ctx context.Context, seed int64, p Point) (*swarm.Stats, error)
 }
 
@@ -90,8 +60,8 @@ func (sr SeedRun) runReplica(ctx context.Context, seed int64) (*swarm.Stats, err
 	key := ""
 	if sr.Store != nil {
 		key = ConfigKey(sr.Scale, seed, sr.Point)
-		if st, ok := sr.Store.GetStats(key); ok {
-			return st, nil
+		if sn, ok := sr.Store.GetSnapshot(key); ok {
+			return swarm.StatsFromSnapshot(sn), nil
 		}
 	}
 	st, err := RunPoint(sr.Point, sr.Scale, seed, sr.Validate)
@@ -104,50 +74,40 @@ func (sr SeedRun) runReplica(ctx context.Context, seed int64) (*swarm.Stats, err
 	return st, err
 }
 
-// ShardJobs returns the fan-out's shard jobs. per must have one slot per
-// seed replica; each job fills the disjoint index range of its shard, so
-// no locking is needed. The derived sweep seed each job receives is
-// ignored: replica workload seeds are fixed by ReplicaSeeds, so sharding
-// changes when runs happen, never what they compute. Exposed so Prime can
-// flatten many points' shard jobs onto one worker pool.
-func (sr SeedRun) ShardJobs(ctx context.Context, per []*swarm.Stats) []runner.Job {
-	seeds := ReplicaSeeds(sr.BaseSeed, sr.Seeds)
-	shards := SeedShards(len(seeds), sr.Shards)
-	jobs := make([]runner.Job, len(shards))
-	for i, span := range shards {
-		span := span
-		jobs[i] = runner.Job{
-			Name: fmt.Sprintf("%s#%d-%d", sr.Point.Key(), span[0], span[1]),
-			Run: func(int64) (*swarm.Stats, error) {
-				for r := span[0]; r < span[1]; r++ {
-					if err := ctx.Err(); err != nil {
-						return nil, err
+// RunSeeds is the one seed fan-out: every replica of every run is one job
+// on a single runner.Sweep pool, and each run's results come back in
+// replica order. Replica workload seeds are fixed by ReplicaSeeds, never by
+// the job's derived sweep seed, so the pool changes when runs happen, never
+// what they compute: the results are identical at any opt.Parallel. The
+// first failure in (run, replica) order is returned; a replica of a
+// multi-seed run names itself in it.
+func RunSeeds(ctx context.Context, runs []SeedRun, opt runner.Options) ([][]*swarm.Stats, error) {
+	per := make([][]*swarm.Stats, len(runs))
+	var jobs []runner.Job
+	for i, sr := range runs {
+		seeds := ReplicaSeeds(sr.BaseSeed, sr.Seeds)
+		per[i] = make([]*swarm.Stats, len(seeds))
+		for r, seed := range seeds {
+			name := sr.Point.Key()
+			if len(seeds) > 1 {
+				name = fmt.Sprintf("%s#%d", name, r)
+			}
+			jobs = append(jobs, runner.Job{
+				Name: name,
+				// Each job fills its own slot, so no locking is needed.
+				Run: func(int64) (*swarm.Stats, error) {
+					st, err := sr.runReplica(ctx, seed)
+					if err != nil && len(seeds) > 1 {
+						err = fmt.Errorf("seed replica %d (seed %d): %w", r, seed, err)
 					}
-					st, err := sr.runReplica(ctx, seeds[r])
-					if err != nil {
-						return nil, fmt.Errorf("seed replica %d (seed %d): %w", r, seeds[r], err)
-					}
-					per[r] = st
-				}
-				return nil, nil
-			},
+					per[i][r] = st
+					return st, err
+				},
+			})
 		}
 	}
-	return jobs
-}
-
-// Run executes the fan-out and returns the merged aggregate plus the
-// per-seed results in replica order.
-func (sr SeedRun) Run(ctx context.Context) (*swarm.Stats, []*swarm.Stats, error) {
-	per := make([]*swarm.Stats, len(ReplicaSeeds(sr.BaseSeed, sr.Seeds)))
-	jobs := sr.ShardJobs(ctx, per)
-	results := runner.Sweep(ctx, jobs, runner.Options{Parallel: sr.Parallel, Seed: sr.BaseSeed})
-	if err := runner.FirstErr(results); err != nil {
-		return nil, nil, err
+	if err := runner.FirstErr(runner.Sweep(ctx, jobs, opt)); err != nil {
+		return nil, err
 	}
-	merged, err := swarm.MergeStats(per)
-	if err != nil {
-		return nil, nil, err
-	}
-	return merged, per, nil
+	return per, nil
 }

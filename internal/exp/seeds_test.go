@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"testing"
 
 	"swarmhints/internal/bench"
@@ -34,61 +36,33 @@ func TestReplicaSeeds(t *testing.T) {
 	}
 }
 
-func TestSeedShards(t *testing.T) {
-	cases := []struct {
-		n, shards int
-		want      [][2]int
-	}{
-		{0, 4, nil},
-		{5, 0, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}}, // 0 = per-replica
-		{5, 9, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}}, // clamp to n
-		{5, 2, [][2]int{{0, 3}, {3, 5}}},                         // earlier shards larger
-		{6, 3, [][2]int{{0, 2}, {2, 4}, {4, 6}}},                 // even split
-		{1, 1, [][2]int{{0, 1}}},
+// runSeeds runs one SeedRun through RunSeeds on parallel workers and
+// returns its per-replica results and their fixed-order merge.
+func runSeeds(t *testing.T, sr SeedRun, parallel int) (*swarm.Stats, []*swarm.Stats) {
+	t.Helper()
+	per, err := RunSeeds(context.Background(), []SeedRun{sr}, runner.Options{Parallel: parallel})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		got := SeedShards(tc.n, tc.shards)
-		gb, _ := json.Marshal(got)
-		wb, _ := json.Marshal(tc.want)
-		if !bytes.Equal(gb, wb) {
-			t.Errorf("SeedShards(%d,%d) = %v, want %v", tc.n, tc.shards, got, tc.want)
-		}
+	merged, err := swarm.MergeStats(per[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Partitions cover [0, n) contiguously for a spread of shapes.
-	for n := 1; n <= 17; n++ {
-		for shards := 0; shards <= n+1; shards++ {
-			spans := SeedShards(n, shards)
-			at := 0
-			for _, sp := range spans {
-				if sp[0] != at || sp[1] <= sp[0] {
-					t.Fatalf("SeedShards(%d,%d): bad span %v at offset %d", n, shards, sp, at)
-				}
-				at = sp[1]
-			}
-			if at != n {
-				t.Fatalf("SeedShards(%d,%d) covers [0,%d), want [0,%d)", n, shards, at, n)
-			}
-		}
-	}
+	return merged, per[0]
 }
 
-// seedMergeJSON runs one point as a seeds-replica fan-out with the given
-// sharding/parallelism and returns the merged snapshot's JSON bytes.
-func seedMergeJSON(t *testing.T, seeds, shards, parallel int) []byte {
+// seedMergeJSON runs one point as a seeds-replica fan-out on parallel
+// workers and returns the merged snapshot's JSON bytes.
+func seedMergeJSON(t *testing.T, seeds, parallel int) []byte {
 	t.Helper()
 	sr := SeedRun{
 		Point:    Point{Name: "des", Kind: swarm.LBHints, Cores: 4},
 		Scale:    bench.Tiny,
 		BaseSeed: 7,
 		Seeds:    seeds,
-		Shards:   shards,
-		Parallel: parallel,
 		Validate: true,
 	}
-	merged, per, err := sr.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged, per := runSeeds(t, sr, parallel)
 	if len(per) != seeds {
 		t.Fatalf("fan-out returned %d per-seed results, want %d", len(per), seeds)
 	}
@@ -101,21 +75,15 @@ func seedMergeJSON(t *testing.T, seeds, shards, parallel int) []byte {
 
 // TestSeedMergeDifferentialMatrix is the merge-determinism acceptance
 // test: the merged aggregate of an N-seed fan-out is byte-identical for
-// every shard count and worker count, including the sequential
-// single-engine reference (Shards=1, Parallel=1). Pinned by name in the CI
-// race job next to TestCalqDifferentialMatrix.
+// every worker count, including a rerun of the sequential single-engine
+// reference (Parallel=1). Pinned by name in the CI race job next to
+// TestCalqDifferentialMatrix.
 func TestSeedMergeDifferentialMatrix(t *testing.T) {
 	const seeds = 8
-	want := seedMergeJSON(t, seeds, 1, 1) // sequential reference
-	for _, shards := range []int{1, 2, 3, seeds} {
-		for _, parallel := range []int{1, 4} {
-			if shards == 1 && parallel == 1 {
-				continue
-			}
-			got := seedMergeJSON(t, seeds, shards, parallel)
-			if !bytes.Equal(got, want) {
-				t.Errorf("shards=%d parallel=%d: merged snapshot differs from sequential reference", shards, parallel)
-			}
+	want := seedMergeJSON(t, seeds, 1) // sequential reference
+	for _, parallel := range []int{1, 2, 4, 8} {
+		if got := seedMergeJSON(t, seeds, parallel); !bytes.Equal(got, want) {
+			t.Errorf("parallel=%d: merged snapshot differs from sequential reference", parallel)
 		}
 	}
 }
@@ -132,10 +100,7 @@ func TestSeedMergeRoundTrip(t *testing.T) {
 		Seeds:    4,
 		Validate: true,
 	}
-	merged, _, err := sr.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged, _ := runSeeds(t, sr, 0)
 	sn := merged.Snapshot()
 	if sn.SeedSummary == nil || sn.SeedSummary.Seeds != 4 {
 		t.Fatalf("merged snapshot SeedSummary = %+v, want Seeds=4", sn.SeedSummary)
@@ -160,10 +125,7 @@ func TestSeedMergeRoundTrip(t *testing.T) {
 func TestSeedReplicaMatchesPlainRun(t *testing.T) {
 	p := Point{Name: "des", Kind: swarm.Hints, Cores: 4}
 	sr := SeedRun{Point: p, Scale: bench.Tiny, BaseSeed: 7, Seeds: 3, Validate: true}
-	_, per, err := sr.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, per := runSeeds(t, sr, 0)
 	for r, seed := range ReplicaSeeds(7, 3) {
 		plain, err := RunPoint(p, bench.Tiny, seed, true)
 		if err != nil {
@@ -178,22 +140,31 @@ func TestSeedReplicaMatchesPlainRun(t *testing.T) {
 }
 
 // TestRunnerSeedsExport: the Options-level path — a Runner with Seeds set
-// exports v2-stamped records whose bytes are identical at any SeedShards
-// and Parallel value.
+// exports v2-stamped records whose bytes are identical at any Parallel
+// value, whether its points were primed or each read through Runner.Run's
+// cache-miss path.
 func TestRunnerSeedsExport(t *testing.T) {
-	run := func(shards, parallel int) []byte {
+	points := []Point{
+		{Name: "des", Kind: swarm.Random, Cores: 4},
+		{Name: "des", Kind: swarm.Hints, Cores: 4},
+	}
+	run := func(parallel int, prime bool) []byte {
 		o := DefaultOptions(bench.Tiny)
 		o.Cores = []int{4}
 		o.Seeds = 3
-		o.SeedShards = shards
 		o.Parallel = parallel
 		r := NewRunner(o)
-		points := []Point{
-			{Name: "des", Kind: swarm.Random, Cores: 4},
-			{Name: "des", Kind: swarm.Hints, Cores: 4},
-		}
-		if err := r.Prime(context.Background(), points); err != nil {
-			t.Fatal(err)
+		ctx := context.Background()
+		if prime {
+			if err := r.Prime(ctx, points); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, p := range points {
+				if _, err := r.Run(ctx, p.Name, p.Kind, p.Cores, p.Profile); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		var buf bytes.Buffer
 		if err := r.Export().WriteJSON(&buf); err != nil {
@@ -201,13 +172,43 @@ func TestRunnerSeedsExport(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	want := run(1, 1)
+	want := run(1, true)
 	if !bytes.Contains(want, []byte(`"seedSummary"`)) || !bytes.Contains(want, []byte("swarmhints.metrics.v2")) {
 		t.Fatal("multi-seed export lacks the v2 schema stamp or seedSummary block")
 	}
-	for _, tc := range [][2]int{{0, 4}, {2, 2}, {3, 8}} {
-		if got := run(tc[0], tc[1]); !bytes.Equal(got, want) {
-			t.Errorf("SeedShards=%d Parallel=%d: export differs from sequential reference", tc[0], tc[1])
+	for _, tc := range []struct {
+		parallel int
+		prime    bool
+	}{{4, true}, {2, true}, {8, true}, {1, false}, {4, false}} {
+		if got := run(tc.parallel, tc.prime); !bytes.Equal(got, want) {
+			t.Errorf("Parallel=%d prime=%v: export differs from sequential reference", tc.parallel, tc.prime)
 		}
+	}
+}
+
+// TestRunSeedsNamesFailedReplica: a failing replica of a multi-seed run
+// names itself in the returned error, which still wraps the cause, and the
+// first failure in (run, replica) order wins at any worker count. A
+// single-seed run's error is returned as the executor gave it.
+func TestRunSeedsNamesFailedReplica(t *testing.T) {
+	cause := errors.New("boom")
+	seeds := ReplicaSeeds(7, 4)
+	exec := func(_ context.Context, seed int64, _ Point) (*swarm.Stats, error) {
+		if seed == seeds[1] || seed == seeds[3] || seed == 7 {
+			return nil, cause
+		}
+		return &swarm.Stats{}, nil
+	}
+	p := Point{Name: "des", Kind: swarm.Hints, Cores: 4}
+	for _, parallel := range []int{1, 4} {
+		_, err := RunSeeds(context.Background(), []SeedRun{{Point: p, BaseSeed: 7, Seeds: 4, Exec: exec}}, runner.Options{Parallel: parallel})
+		want := fmt.Sprintf("seed replica 1 (seed %d): boom", seeds[1])
+		if !errors.Is(err, cause) || err.Error() != want {
+			t.Errorf("parallel=%d: err = %v, want %q wrapping the cause", parallel, err, want)
+		}
+	}
+	_, err := RunSeeds(context.Background(), []SeedRun{{Point: p, BaseSeed: 7, Seeds: 1, Exec: exec}}, runner.Options{})
+	if err != cause {
+		t.Errorf("single-seed err = %v, want the executor's error unwrapped", err)
 	}
 }

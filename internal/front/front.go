@@ -105,17 +105,10 @@ func Traced(w http.ResponseWriter, r *http.Request, name string) (context.Contex
 	return ctx, sp
 }
 
-// CheckCores rejects core counts the simulated machine cannot be built
-// with: sim.Config.WithCores silently rounds up to the next 1-or-k²·c mesh,
-// which would cache results under a mislabeled configuration key.
+// CheckCores is cliutil.CheckCores as a /v1 bad_cores error.
 func CheckCores(cores []int) *api.Error {
-	for _, c := range cores {
-		if c < 1 {
-			return api.Errorf(api.CodeBadCores, "cores must be >= 1, got %d", c)
-		}
-		if got := swarm.ScaledConfig().WithCores(c).Cores(); got != c {
-			return api.Errorf(api.CodeBadCores, "cores must be 1 or fill a square mesh (nearest is %d), got %d", got, c)
-		}
+	if err := cliutil.CheckCores(cores); err != nil {
+		return api.Errorf(api.CodeBadCores, "%v", err)
 	}
 	return nil
 }

@@ -8,14 +8,15 @@ import (
 
 	"swarmhints/internal/bench"
 	"swarmhints/internal/exp"
+	"swarmhints/internal/runner"
 	"swarmhints/swarm"
 )
 
 // TestGatewaySeedsFanout is the seeds acceptance criterion: a 64-seed
-// configuration sharded across a 4-replica fleet answers with exactly the
+// configuration spread across a 4-replica fleet answers with exactly the
 // bytes of (a) a single swarmd serving the same seeds request and (b) the
-// sequential single-engine fan-out (one shard, one worker) — merging is
-// order-fixed, so how the seeds were sharded never shows in the output.
+// sequential single-engine fan-out (one worker) — merging is order-fixed,
+// so where the seeds ran never shows in the output.
 func TestGatewaySeedsFanout(t *testing.T) {
 	const seeds = 64
 	body := `{"bench":"des","sched":"lbhints","cores":4,"scale":"tiny","seeds":64}`
@@ -45,11 +46,12 @@ func TestGatewaySeedsFanout(t *testing.T) {
 	// Sequential single-engine reference, exported exactly as the servers
 	// export a run response.
 	p := exp.Point{Name: "des", Kind: swarm.LBHints, Cores: 4}
-	sr := exp.SeedRun{
-		Point: p, Scale: bench.Tiny, BaseSeed: 7,
-		Seeds: seeds, Shards: 1, Parallel: 1, Validate: true,
+	sr := exp.SeedRun{Point: p, Scale: bench.Tiny, BaseSeed: 7, Seeds: seeds, Validate: true}
+	per, err := exp.RunSeeds(context.Background(), []exp.SeedRun{sr}, runner.Options{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	merged, _, err := sr.Run(context.Background())
+	merged, err := swarm.MergeStats(per[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestGatewaySeedsFanout(t *testing.T) {
 		t.Error("gateway-merged seeds response differs from the sequential single-engine fan-out")
 	}
 
-	// The fan-out really was sharded: every replica served seed points.
+	// The fan-out really was spread: every replica served seed points.
 	c := g.Counters()
 	if c.Points != seeds {
 		t.Errorf("gateway served %d points for the fan-out, want %d", c.Points, seeds)

@@ -33,7 +33,7 @@ type SeedSummary struct {
 
 // seedStat computes one metric's dispersion. Values arrive in fixed seed
 // order, so the float accumulation order — and therefore the encoded bytes
-// — is identical no matter how the seeds were sharded or scheduled.
+// — is identical no matter where or when the seeds ran.
 func seedStat(vals []float64) SeedStat {
 	st := SeedStat{Min: math.Inf(1), Max: math.Inf(-1)}
 	if len(vals) == 0 {
@@ -133,7 +133,7 @@ func (s *Snapshot) Merge(o *Snapshot) error {
 // MergeSnapshots folds the per-seed snapshots — given in canonical seed
 // order — into one aggregate left-to-right and attaches the SeedSummary
 // over the full set. The inputs are not modified. Because the fold order
-// is fixed by the caller's seed order (never by shard or completion
+// is fixed by the caller's seed order (never by worker or completion
 // order), the merged snapshot is byte-identical however the per-seed runs
 // were scheduled.
 func MergeSnapshots(snaps []*Snapshot) (*Snapshot, error) {

@@ -10,20 +10,22 @@ import (
 
 	"swarmhints/internal/bench"
 	"swarmhints/internal/exp"
+	"swarmhints/internal/runner"
 	"swarmhints/internal/store"
 	"swarmhints/swarm"
 )
 
 // seedsReference is the sequential single-engine oracle for a seeds run:
-// the fan-out executed with one shard on one worker, exported exactly as
-// handleRun exports it.
+// the fan-out executed on one worker, exported exactly as handleRun
+// exports it.
 func seedsReference(t *testing.T, p exp.Point, seed int64, seeds int) []byte {
 	t.Helper()
-	sr := exp.SeedRun{
-		Point: p, Scale: bench.Tiny, BaseSeed: seed,
-		Seeds: seeds, Shards: 1, Parallel: 1, Validate: true,
+	sr := exp.SeedRun{Point: p, Scale: bench.Tiny, BaseSeed: seed, Seeds: seeds, Validate: true}
+	per, err := exp.RunSeeds(context.Background(), []exp.SeedRun{sr}, runner.Options{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	merged, _, err := sr.Run(context.Background())
+	merged, err := swarm.MergeStats(per[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestRunSeedsEndpoint(t *testing.T) {
 
 	// Every seed replica is on disk under its ordinary per-seed key.
 	for _, seed := range exp.ReplicaSeeds(7, 4) {
-		if _, ok := st.GetStats(exp.ConfigKey(bench.Tiny, seed, p)); !ok {
+		if _, ok := st.GetSnapshot(exp.ConfigKey(bench.Tiny, seed, p)); !ok {
 			t.Errorf("seed %d not written through to the store", seed)
 		}
 	}

@@ -103,8 +103,8 @@ func DefaultConfig() Config {
 }
 
 // ScaledConfig shrinks the memory system for the scaled-down inputs used in
-// tests and quick experiment runs (Sec. 5 of DESIGN.md): same shape, smaller
-// capacities, so working-set:cache ratios stay in the paper's regime.
+// tests and quick experiment runs: same shape, smaller capacities, so
+// working-set:cache ratios stay in the paper's regime.
 func ScaledConfig() Config {
 	c := DefaultConfig()
 	c.Cache = cache.ScaledConfig()

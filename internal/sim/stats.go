@@ -148,7 +148,7 @@ func StatsFromSnapshot(sn *metrics.Snapshot) *Stats {
 // cross-seed dispersion. It goes through metrics.MergeSnapshots and back
 // through StatsFromSnapshot, so the result round-trips byte-identically:
 // MergeStats(runs).Snapshot() equals the metrics-level merge of the runs'
-// snapshots, whatever sharding produced the inputs.
+// snapshots, wherever the inputs were computed.
 func MergeStats(runs []*Stats) (*Stats, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("sim: merge of zero runs")

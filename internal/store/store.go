@@ -643,18 +643,6 @@ func (s *Store) GetSnapshot(key string) (*metrics.Snapshot, bool) {
 	return &sn, true
 }
 
-// GetStats returns the stored result for key decoded back into first-class
-// run statistics. The rebuilt Stats re-snapshot to byte-identical export
-// bytes (see swarm.StatsFromSnapshot), which is what keeps store-served
-// results indistinguishable from computed ones.
-func (s *Store) GetStats(key string) (*swarm.Stats, bool) {
-	sn, ok := s.GetSnapshot(key)
-	if !ok {
-		return nil, false
-	}
-	return swarm.StatsFromSnapshot(sn), true
-}
-
 // PutStats writes a run's result through as its canonical metrics.Snapshot
 // export bytes — the same compact JSON encoding the NDJSON sweep stream
 // uses for a record's stats object.
